@@ -12,17 +12,14 @@ from .analytics import (
     sa_throughput,
     slot_degree_pmf,
 )
-from .decoder import DecodeCause, DecodeEvent, ReceiverMemory
-from .engine import RunResult, SimulationInvariantError, packet_delay, run_simulation
+from .engine import RunResult, SimulationInvariantError, run_simulation
 from .metrics import DelayDistribution, cdf_at, delay_distribution, loss_rate, throughput
 from .model import (
     AccessMode,
     ConfigError,
     DegreeDistribution,
     NAMED_DISTRIBUTIONS,
-    PacketRecord,
     SchemeConfig,
-    SlotState,
     TimeConfig,
     TrafficConfig,
     mean_degree,
@@ -40,18 +37,13 @@ __all__ = [
     "AccessMode",
     "ArrivalSchedule",
     "ConfigError",
-    "DecodeCause",
-    "DecodeEvent",
     "DegreeDistribution",
     "DelayDistribution",
     "FrameGrid",
     "NAMED_DISTRIBUTIONS",
-    "PacketRecord",
-    "ReceiverMemory",
     "RunResult",
     "SchemeConfig",
     "SimulationInvariantError",
-    "SlotState",
     "TimeConfig",
     "TrafficConfig",
     "cdf_at",
@@ -67,7 +59,6 @@ __all__ = [
     "p_not",
     "p_uins_fr",
     "p_uins_sw",
-    "packet_delay",
     "place_fr",
     "place_sw",
     "run_simulation",

@@ -3,220 +3,157 @@
 The gateway ingests one slot at a time, keeps the most recent N_rx slots,
 and at each slot end peels: any live slot holding exactly one instance of a
 still-restorable packet resolves that packet, whose replicas are then
-cancelled from every slot in memory, possibly cascading.
+cancelled from every slot, possibly cascading.
 
-A packet stays restorable only while its earliest replica slot is still
-memorized: once that slot is evicted the packet is lost for good, and its
-remaining instances stay in their slots as uncancellable interference until
-those slots are evicted in turn. This is what bounds the decode delay by
-the receiver memory span.
+A packet stays restorable only while its earliest replica slot is at or
+above the live lower bound: ``t - N_rx + 1`` at slot ``t``, or the start of
+the current frame for a frame-scoped (FR) memory. Once it falls below, the
+packet is lost for good, and its remaining instances stay in their slots as
+uncancellable interference. This is what bounds the decode delay by the
+receiver memory span.
+
+The run is decoded in one call over flat arrays, in the count/XOR
+representation of LT and IBLT peeling decoders: each slot keeps the number
+of its undecoded instances and the XOR of their packet ids, so a singleton
+slot names its packet. Decoding a packet cancels its replicas in every
+slot, future ones included, so only two kinds of slot need a visit: a slot
+that holds exactly one instance when it is ingested, and a slot left with
+one instance by a cancellation.
 """
 
 from __future__ import annotations
 
 import heapq
-from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional
+from array import array
+from typing import NamedTuple
 
-from .model import SlotState
-
-
-class DecodeCause(str, Enum):
-    CLEAN = "clean"  # resolved from a slot that never held a collision
-    IC = "ic"  # slot became singleton through cancellation
+import numpy as np
 
 
-class DecodeEvent(NamedTuple):
-    packet_id: int
-    decode_slot: int  # slot at whose end the resolving peel ran
-    cause: DecodeCause
+class PeelOutcome(NamedTuple):
+    """Per-packet result of one ``peel`` call, indexed by packet id."""
+
+    decode_slots: np.ndarray  # slot at whose end the packet resolved; -1 if not decoded
+    lost_at: np.ndarray  # slot at which an undecoded packet stopped being restorable; -1 otherwise
+    order: np.ndarray  # decoded packet ids in resolution order
+    clean: np.ndarray  # resolved from a slot that held one instance when ingested
+    iteration_cap_hits: int
 
 
-class ReceiverMemory:
-    """Sliding window of the most recent ``capacity`` slots.
+def peel(
+    replica_flat: np.ndarray,
+    replica_offsets: np.ndarray,
+    n_slots: int,
+    capacity: int,
+    frame_scoped: bool = False,
+    i_max: int = 50,
+) -> PeelOutcome:
+    """Stream slots ``0 .. n_slots-1`` through a ``capacity``-slot memory.
 
-    Cheap-per-slot peeling relies on an exact invariant: after a peel runs
-    to fixpoint no live slot is a decodable singleton, so new ones can only
-    appear in slots touched since (the newly ingested slot, or slots hit by
-    cancellations). Those are tracked in ``_dirty``.
+    Packet ``p``'s replica slots are ``replica_flat[replica_offsets[p] :
+    replica_offsets[p+1]]``, sorted ascending. A ``frame_scoped`` memory
+    holds the current frame of ``capacity`` slots (FR): a frame's undecoded
+    packets are lost when it closes.
+
+    Each slot's peel is a sequence of ascending scans: every decodable
+    singleton met resolves its packet, and singletons created behind the
+    scan position wait for the next scan. ``i_max`` caps the scans per
+    slot; a cascade the cap cuts off resumes at the next slot unless a
+    frame boundary clears it, and each such cut counts as one cap hit.
+
+    An eviction happens when slot ``t`` is ingested (``lost_at = first
+    replica + capacity``), a frame close at the end of the frame's last
+    slot. A packet still restorable after the last slot keeps ``lost_at``
+    at -1.
     """
+    if capacity < 1:
+        raise ValueError(f"capacity must be >= 1, got {capacity}")
+    flat_a = np.asarray(replica_flat, dtype=np.int64)
+    offsets_a = np.asarray(replica_offsets, dtype=np.int64)
+    n = len(offsets_a) - 1
+    first_a = flat_a[offsets_a[:-1]]
+    size = max(n_slots, int(flat_a.max()) + 1 if len(flat_a) else 0)
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets_a))
+    count_a = np.bincount(flat_a, minlength=size)
+    xor_a = np.zeros(size, dtype=np.int64)
+    np.bitwise_xor.at(xor_a, flat_a, owner)
 
-    def __init__(self, capacity: int, frame_scoped: bool = False):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.frame_scoped = frame_scoped
-        # live nonempty slots: slot index -> set of uncancelled packet ids
-        self._slots: dict[int, set[int]] = {}
-        # restorable packets: id -> replica slots not yet cancelled or evicted
-        self._pending: dict[int, set[int]] = {}
-        self._decoded: set[int] = set()
-        # unrecoverable packets that still have instances in live slots,
-        # with the count of those instances
-        self._dead: dict[int, int] = {}
-        self._current: Optional[int] = None
-        self._dirty: set[int] = set()
-        self._born_singleton: set[int] = set()
-        self.iteration_cap_hits = 0
-
-    @property
-    def current_slot(self) -> Optional[int]:
-        return self._current
-
-    def live_slots(self) -> dict[int, frozenset[int]]:
-        return {s: frozenset(ids) for s, ids in self._slots.items()}
-
-    def pending_packets(self) -> dict[int, frozenset[int]]:
-        return {pid: frozenset(slots) for pid, slots in self._pending.items()}
-
-    def decoded_ids(self) -> frozenset[int]:
-        return frozenset(self._decoded)
-
-    def dead_ids(self) -> frozenset[int]:
-        return frozenset(self._dead)
-
-    def ingest_slot(
-        self,
-        slot: SlotState,
-        replica_pointers: Optional[Mapping[int, Iterable[int]]] = None,
-    ) -> list[int]:
-        """Append the next slot, evicting the one sliding out of the window.
-
-        ``replica_pointers`` must give the full replica slot list for any
-        packet seen here for the first time (each instance carries pointers
-        to its siblings). Returns the ids of packets that just became
-        unrecoverable because their earliest replica slot was evicted.
-        """
-        idx = slot.slot_index
-        if self._current is not None and idx != self._current + 1:
-            raise ValueError(f"out-of-order ingestion: expected slot {self._current + 1}, got {idx}")
-        self._current = idx
-
-        lost: list[int] = []
-        old = idx - self.capacity
-        evicted = self._slots.pop(old, None)
-        if evicted:
-            self._dirty.discard(old)
-            self._born_singleton.discard(old)
-            for pid in evicted:
-                pending = self._pending.pop(pid, None)
-                if pending is not None:
-                    # a restorable packet has no cancelled replicas, so the
-                    # first eviction that touches it is its earliest slot
-                    pending.discard(old)
-                    lost.append(pid)
-                    left = sum(1 for s in pending if pid in self._slots.get(s, ()))
-                    if left:
-                        self._dead[pid] = left
-                else:
-                    left = self._dead[pid] - 1
-                    if left:
-                        self._dead[pid] = left
-                    else:
-                        del self._dead[pid]
-
-        members: set[int] = set()
-        live_single = None
-        for pid in slot.instances:
-            if pid in self._decoded:
-                continue
-            if pid in self._dead:
-                self._dead[pid] += 1
-                members.add(pid)
-                continue
-            if pid not in self._pending:
-                if replica_pointers is None or pid not in replica_pointers:
-                    raise ValueError(f"no replica pointers for first-seen packet {pid}")
-                self._pending[pid] = {int(s) for s in replica_pointers[pid]}
-            members.add(pid)
-            live_single = pid
-        if members:
-            self._slots[idx] = members
-            if len(members) == 1 and live_single is not None:
-                self._dirty.add(idx)
-                self._born_singleton.add(idx)
-        return lost
-
-    def peel(self, max_iterations: int = 50, _descending: bool = False) -> list[DecodeEvent]:
-        """Run the iterative IC process to fixpoint or ``max_iterations``.
-
-        One iteration is one scan of the live slots in increasing slot order
-        (decreasing with ``_descending``, a test hook for the order-invariance
-        property): every decodable singleton resolves its packet and the
-        packet's replicas are cancelled immediately from all slots still in
-        memory. Singletons created behind the scan position wait for the
-        next iteration. Events are returned in resolution order.
-        """
-        events: list[DecodeEvent] = []
-        if not self._dirty:
-            return events
-        ready = [
-            s
-            for s in self._dirty
-            if len(self._slots.get(s, ())) == 1 and next(iter(self._slots[s])) not in self._dead
-        ]
-        self._dirty.clear()
-        if not ready:
-            return events
-        sign = -1 if _descending else 1
-        current = self._current if self._current is not None else max(ready)
-        queue = [sign * s for s in ready]
+    # Python-level buffers for the loop: int64 arrays, and a list for flat,
+    # whose per-packet slices iterate fastest. A sorted list is a valid heap.
+    events = np.flatnonzero(count_a[:n_slots] == 1).tolist()
+    count = array("q", count_a.tobytes())
+    xor = array("q", xor_a.tobytes())
+    first = array("q", first_a.tobytes())
+    offsets = array("q", offsets_a.tobytes())
+    flat = flat_a.tolist()
+    del owner, count_a, xor_a
+    decode = array("q", [-1]) * n
+    clean = bytearray(n)
+    order: list[int] = []
+    born: set[int] = set()  # slots that held one restorable instance when ingested
+    carried: list[int] = []  # cap-cut candidates, resumed at slot resume_at
+    resume_at = -1
+    cap_hits = 0
+    last = -1
+    heappop, heappush, heapify = heapq.heappop, heapq.heappush, heapq.heapify
+    while events:
+        t = heappop(events)
+        if t == last:
+            continue
+        if t >= n_slots:
+            break
+        last = t
+        lo = t - t % capacity if frame_scoped else t - capacity + 1
+        queue = [s for s in carried if count[s] == 1 and first[xor[s]] >= lo] if resume_at == t else []
+        if count[t] == 1 and first[xor[t]] >= lo:
+            born.add(t)
+            queue.append(t)
         passes = 0
-        while queue and passes < max_iterations:
+        while queue and passes < i_max:
             passes += 1
-            heapq.heapify(queue)
-            carry: list[int] = []
+            heapify(queue)
+            carry = []
             while queue:
-                s = sign * heapq.heappop(queue)
-                slot_set = self._slots.get(s)
-                if slot_set is None or len(slot_set) != 1:
+                s = heappop(queue)
+                if count[s] != 1:
                     continue  # emptied meanwhile
-                pid = next(iter(slot_set))
-                if pid in self._dead:
-                    continue
-                del self._slots[s]
-                cause = DecodeCause.CLEAN if s in self._born_singleton else DecodeCause.IC
-                self._born_singleton.discard(s)
-                self._decoded.add(pid)
-                events.append(DecodeEvent(pid, current, cause))
-                for r in self._pending.pop(pid):
-                    if r == s:
+                p = xor[s]  # restorable: checked when s was queued
+                decode[p] = t
+                order.append(p)
+                if s in born:
+                    clean[p] = 1
+                for r in flat[offsets[p] : offsets[p + 1]]:
+                    c = count[r] - 1
+                    count[r] = c
+                    xor[r] ^= p
+                    if c != 1:
                         continue
-                    r_set = self._slots.get(r)
-                    if r_set is None:
-                        continue  # evicted, or not yet ingested
-                    r_set.discard(pid)
-                    if len(r_set) == 1:
-                        leftover = next(iter(r_set))
-                        if leftover in self._dead:
-                            continue  # inert interference, never decodable
-                        if sign * r > sign * s:
-                            heapq.heappush(queue, sign * r)
-                        else:
-                            carry.append(sign * r)
-                    elif not r_set:
-                        del self._slots[r]
-                        self._born_singleton.discard(r)
+                    if r > t:
+                        heappush(events, r)  # singleton on ingestion, unless cancelled further
+                    elif first[xor[r]] < lo:
+                        continue  # inert interference, never decodable
+                    elif r > s:
+                        heappush(queue, r)
+                    else:
+                        carry.append(r)
             queue = carry
         if queue:
-            # iteration cap bound before the fixpoint: leave the remaining
-            # candidates dirty so the next invocation resumes the cascade.
-            self.iteration_cap_hits += 1
-            self._dirty.update(sign * s for s in queue)
-        return events
+            # resumed at the next slot, where a frame boundary or an eviction
+            # filters out the packets that stopped being restorable
+            cap_hits += 1
+            carried, resume_at = queue, t + 1
+            heappush(events, t + 1)
 
-    def frame_reset(self) -> list[int]:
-        """Close the current frame: undecoded packets are lost, memory cleared.
-
-        Only valid for frame-scoped (FR) memories, where every pending
-        packet's replicas all lie inside the frame being closed.
-        """
-        if not self.frame_scoped:
-            raise ValueError("frame_reset is only valid for a frame-scoped receiver memory")
-        lost = list(self._pending)
-        self._pending.clear()
-        self._dead.clear()
-        self._slots.clear()
-        self._dirty.clear()
-        self._born_singleton.clear()
-        return lost
+    decode_slots = np.array(decode, dtype=np.int64)
+    if frame_scoped:
+        lost_at = first_a - first_a % capacity + capacity - 1
+    else:
+        lost_at = first_a + capacity
+    lost_at[(decode_slots >= 0) | (lost_at >= n_slots)] = -1
+    return PeelOutcome(
+        decode_slots=decode_slots,
+        lost_at=lost_at,
+        order=np.asarray(order, dtype=np.int64),
+        clean=np.frombuffer(clean, dtype=np.uint8).astype(bool),
+        iteration_cap_hits=cap_hits,
+    )

@@ -1,32 +1,22 @@
-"""Slot-by-slot simulation loop: arrivals, placement, ingestion, peeling.
+"""One run: arrivals, replica placement, receiver peeling, finalization.
 
 A run simulates ``total_slots`` of Poisson arrivals plus an arrival-free
-drain so every in-flight packet resolves one way or the other, then
-finalizes each packet as decoded or lost and checks the delay-support
-invariants as hard postconditions.
+drain so every in-flight packet resolves one way or the other. It places
+every packet's replicas first, then streams the slots through the receiver
+in one decoder call, finalizes each packet as decoded or lost, and checks
+the delay-support invariants as hard postconditions.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
-from .decoder import ReceiverMemory
-from .model import (
-    AccessMode,
-    EMPTY_INSTANCES,
-    PacketRecord,
-    SchemeConfig,
-    SlotState,
-    TimeConfig,
-    TrafficConfig,
-    sample_degrees,
-)
-from .placement import FrameGrid, place_fr, place_sw
+from .decoder import PeelOutcome, peel
+from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
+from .placement import FrameGrid, place_replicas
 from .traffic import generate_arrivals
 
 TRACE_FIELDS = ("slot_index", "packet_id", "event", "cause")
@@ -41,7 +31,8 @@ class RunResult:
     """Finalized per-packet outcomes plus the configuration echo.
 
     Packet fields are stored columnar (decode_slots holds -1 for lost
-    packets); ``packets`` materializes PacketRecord views on demand.
+    packets). Packet ``p``'s replica slots are
+    ``replica_flat[replica_offsets[p]:replica_offsets[p+1]]``, ascending.
     ``slot_occupancy`` counts the instances transmitted in each simulated
     slot, before any decoding.
     """
@@ -53,7 +44,8 @@ class RunResult:
     slots_simulated: int
     arrival_slots: np.ndarray
     degrees: np.ndarray
-    replica_slots: tuple[tuple[int, ...], ...]
+    replica_flat: np.ndarray
+    replica_offsets: np.ndarray
     decode_slots: np.ndarray
     lost: np.ndarray
     slot_occupancy: np.ndarray
@@ -76,59 +68,17 @@ class RunResult:
         return self.decode_slots >= 0
 
     def delays_ms(self) -> np.ndarray:
-        """Per-packet delivery delay in ms; NaN for lost packets."""
+        """Per-packet delivery delay in ms; NaN for lost packets.
+
+        Counted from the ready slot (FR frame waiting included) to the end of
+        the slot whose peel resolved the packet, plus one-way propagation.
+        """
         d = np.full(self.n_packets, np.nan)
         ok = self.decoded_mask()
         d[ok] = self.time.propagation_delay_ms + (
             self.decode_slots[ok] - self.arrival_slots[ok] + 1
         ) * self.time.slot_duration_ms
         return d
-
-    @cached_property
-    def packets(self) -> tuple[PacketRecord, ...]:
-        return tuple(
-            PacketRecord(
-                packet_id=i,
-                arrival_slot=int(self.arrival_slots[i]),
-                degree=int(self.degrees[i]),
-                replica_slots=self.replica_slots[i],
-                decode_slot=int(self.decode_slots[i]) if self.decode_slots[i] >= 0 else None,
-                lost=bool(self.lost[i]),
-            )
-            for i in range(self.n_packets)
-        )
-
-
-def packet_delay(p: PacketRecord, time: TimeConfig) -> Optional[float]:
-    """Delivery delay of a finalized packet in ms, or None if lost.
-
-    Counted from the ready slot (FR frame waiting included) to the end of
-    the slot whose peel resolved it, plus one-way propagation.
-    """
-    if p.decode_slot is None:
-        return None
-    return time.propagation_delay_ms + (p.decode_slot - p.arrival_slot + 1) * time.slot_duration_ms
-
-
-class _TraceWriter:
-    """One CSV line per replica ingestion, decode event, and loss."""
-
-    def __init__(self, path):
-        self._fh = open(path, "w", newline="")
-        self._w = csv.writer(self._fh)
-        self._w.writerow(TRACE_FIELDS)
-
-    def replica(self, slot: int, pid: int) -> None:
-        self._w.writerow((slot, pid, "replica", "-"))
-
-    def decode(self, slot: int, pid: int, cause: str) -> None:
-        self._w.writerow((slot, pid, "decode", cause))
-
-    def loss(self, slot: int, pid: int) -> None:
-        self._w.writerow((slot, pid, "loss", "-"))
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 def drain_end_slot(scheme: SchemeConfig, traffic: TrafficConfig) -> int:
@@ -155,107 +105,24 @@ def run_simulation(
     arrivals = generate_arrivals(traffic, rng).per_slot_counts
     n_packets = int(arrivals.sum())
     degrees = sample_degrees(scheme.degree_distribution, rng, n_packets)
+    arrival_slots = np.repeat(np.arange(traffic.total_slots, dtype=np.int64), arrivals)
+    flat, offsets = place_replicas(scheme, arrival_slots, degrees, rng)
 
     fr = scheme.mode is AccessMode.FR
-    n_window = scheme.window_slots
-    grid = FrameGrid(n_window) if fr else None
-    total = traffic.total_slots
     end_slot = drain_end_slot(scheme, traffic)
-
-    mem = ReceiverMemory(scheme.receiver_memory_slots, frame_scoped=fr)
-    tracer = _TraceWriter(trace_path) if trace_path is not None else None
-
-    replicas: list[tuple[int, ...]] = []
-    schedule: dict[int, list[int]] = {}
-    decode_slots = np.full(n_packets, -1, dtype=np.int64)
-    lost = np.zeros(n_packets, dtype=bool)
-
-    arrivals_list = arrivals.tolist()  # plain ints for the hot loop
-    degrees_list = degrees.tolist()
-    pid = 0
-    i_max = scheme.max_ic_iterations
-
-    # Bulk path: one big uniform draw for all replica offsets, with rare
-    # per-packet completion on duplicates. Exact (rejection), and only used
-    # when degrees are sparse in the window; tiny windows take the
-    # per-packet samplers instead.
-    bulk = 3 * scheme.degree_distribution.max_degree < (n_window if fr else n_window - 1)
-    if bulk and n_packets:
-        if fr:
-            pool = rng.integers(0, n_window, size=int(degrees.sum())).tolist()
-        else:
-            n_extra = int(degrees.sum()) - n_packets
-            pool = rng.integers(1, n_window, size=n_extra).tolist() if n_extra else []
-    else:
-        pool = []
-    pool_pos = 0
-    occ_list = [0] * end_slot
-    try:
-        for t in range(end_slot):
-            if t < total:
-                for _ in range(arrivals_list[t]):
-                    l = degrees_list[pid]
-                    if bulk:
-                        if fr:
-                            vals = pool[pool_pos : pool_pos + l]
-                            pool_pos += l
-                            picked = set(vals)
-                            while len(picked) < l:
-                                picked.update(rng.integers(0, n_window, size=l - len(picked)).tolist())
-                            base = (t // n_window + 1) * n_window
-                            pos = tuple(sorted(base + v for v in picked))
-                        elif l == 1:
-                            pos = (t,)
-                        else:
-                            vals = pool[pool_pos : pool_pos + l - 1]
-                            pool_pos += l - 1
-                            picked = set(vals)
-                            while len(picked) < l - 1:
-                                picked.update(
-                                    rng.integers(1, n_window, size=l - 1 - len(picked)).tolist()
-                                )
-                            pos = (t, *sorted(t + v for v in picked))
-                    else:
-                        pos = place_fr(t, l, grid, rng) if fr else place_sw(t, l, n_window, rng)
-                    replicas.append(pos)
-                    for s in pos:
-                        schedule.setdefault(s, []).append(pid)
-                        occ_list[s] += 1
-                    pid += 1
-            ids = schedule.pop(t, None)
-            if ids is not None:
-                state = SlotState(t, frozenset(ids))
-                pointers = {p: replicas[p] for p in ids}
-            else:
-                state = SlotState(t, EMPTY_INSTANCES)
-                pointers = None
-            for p in mem.ingest_slot(state, pointers):
-                lost[p] = True
-                if tracer:
-                    tracer.loss(t, p)
-            if tracer and ids is not None:
-                for p in ids:
-                    tracer.replica(t, p)
-            for ev in mem.peel(i_max):
-                decode_slots[ev.packet_id] = ev.decode_slot
-                if tracer:
-                    tracer.decode(ev.decode_slot, ev.packet_id, ev.cause.value)
-            if fr and (t + 1) % n_window == 0:
-                for p in mem.frame_reset():
-                    lost[p] = True
-                    if tracer:
-                        tracer.loss(t, p)
-        # After the drain no further decode is possible (the peel fixpoint is
-        # stable under empty ingestion); whatever is still open is lost.
-        open_mask = (decode_slots < 0) & ~lost
-        if open_mask.any():
-            lost |= open_mask
-            if tracer:
-                for p in np.flatnonzero(open_mask):
-                    tracer.loss(end_slot - 1, int(p))
-    finally:
-        if tracer:
-            tracer.close()
+    outcome = peel(
+        flat,
+        offsets,
+        end_slot,
+        scheme.receiver_memory_slots,
+        frame_scoped=fr,
+        i_max=scheme.max_ic_iterations,
+    )
+    # The drain outlasts every packet's restorability, so each undecoded
+    # packet has been lost by the last slot; the postconditions check it.
+    lost = outcome.lost_at >= 0
+    if trace_path is not None:
+        _write_trace(trace_path, flat, offsets, outcome, fr)
 
     result = RunResult(
         scheme=scheme,
@@ -263,15 +130,40 @@ def run_simulation(
         time=time,
         rng_seed=traffic.rng_seed,
         slots_simulated=end_slot,
-        arrival_slots=np.repeat(np.arange(total, dtype=np.int64), arrivals),
+        arrival_slots=arrival_slots,
         degrees=degrees,
-        replica_slots=tuple(replicas),
-        decode_slots=decode_slots,
+        replica_flat=flat,
+        replica_offsets=offsets,
+        decode_slots=outcome.decode_slots,
         lost=lost,
-        slot_occupancy=np.asarray(occ_list, dtype=np.int64),
+        slot_occupancy=np.bincount(flat, minlength=end_slot),
     )
     _check_postconditions(result)
     return result
+
+
+# Trace phases within one slot, in the order the receiver runs them.
+_EVICT, _REPLICA, _DECODE, _FRAME_CLOSE = range(4)
+
+
+def _write_trace(path, flat, offsets, outcome: PeelOutcome, fr: bool) -> None:
+    """One CSV line per replica ingestion, decode, and loss, grouped by slot:
+    evictions, replicas, decodes, then frame-close losses."""
+    order = outcome.order
+    lost = np.flatnonzero(outcome.lost_at >= 0)
+    slot = np.concatenate([flat, outcome.decode_slots[order], outcome.lost_at[lost]])
+    pid = np.concatenate([np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), order, lost])
+    phase = np.repeat(
+        [_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], [len(flat), len(order), len(lost)]
+    )
+    event = np.array(["loss", "replica", "decode", "loss"], dtype=object)[phase]
+    cause = np.full(len(slot), "-", dtype=object)
+    cause[len(flat) : len(flat) + len(order)] = np.where(outcome.clean[order], "clean", "ic")
+    rows = np.argsort(slot * 4 + phase, kind="stable")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(TRACE_FIELDS)
+        w.writerows(zip(slot[rows].tolist(), pid[rows].tolist(), event[rows], cause[rows]))
 
 
 def _check_postconditions(r: RunResult) -> None:
@@ -283,9 +175,7 @@ def _check_postconditions(r: RunResult) -> None:
     diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1
     if int(diff.min()) < 1:
         raise SimulationInvariantError("decode before arrival")
-    first_replica = np.fromiter(
-        (r.replica_slots[i][0] for i in np.flatnonzero(decoded)), dtype=np.int64
-    )
+    first_replica = r.replica_flat[r.replica_offsets[:-1]][decoded]
     if bool(np.any(r.decode_slots[decoded] < first_replica)):
         raise SimulationInvariantError("decode before first replica slot")
     # Delay support, asserted on every run: FR strictly above the one-slot

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -192,24 +192,3 @@ class TrafficConfig:
             )
         if not 0 <= self.rng_seed < 2**64:
             raise ConfigError(f"rng_seed must be a 64-bit unsigned integer, got {self.rng_seed}")
-
-
-class PacketRecord(NamedTuple):
-    """One finalized MAC packet."""
-
-    packet_id: int
-    arrival_slot: int
-    degree: int
-    replica_slots: tuple[int, ...]
-    decode_slot: Optional[int]  # slot at whose end the packet resolved
-    lost: bool
-
-
-class SlotState(NamedTuple):
-    """Undecoded packet instances occupying one slot."""
-
-    slot_index: int
-    instances: frozenset[int]
-
-
-EMPTY_INSTANCES: frozenset[int] = frozenset()

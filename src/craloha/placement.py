@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .model import AccessMode, SchemeConfig
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,68 @@ def place_sw(arrival_slot: int, degree: int, window_slots: int, rng: np.random.G
     offsets = sample_without_replacement(rng, window_slots - 1, degree - 1)
     offsets.sort()
     return (arrival_slot, *(int(arrival_slot + 1 + o) for o in offsets))
+
+
+def place_replicas(
+    scheme: SchemeConfig, arrival_slots: np.ndarray, degrees: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replica slots of every packet in CSR form: ``(flat, offsets)``.
+
+    Packet ``p`` owns ``flat[offsets[p]:offsets[p+1]]``, sorted ascending.
+    Wide windows (``3 * max_degree`` under the number of eligible offsets)
+    take one uniform pool draw for all replicas and redraw, in packet order,
+    only the rows that came out with a duplicate; narrow windows call
+    ``place_fr``/``place_sw`` once per packet. Both are exact uniform
+    sampling without replacement, and the draws come from ``rng`` in the
+    same order on every call, so a seed fixes the placement.
+    """
+    fr = scheme.mode is AccessMode.FR
+    n_window = scheme.window_slots
+    arrival_slots = np.asarray(arrival_slots, dtype=np.int64)
+    degrees = np.asarray(degrees, dtype=np.int64)
+    offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(degrees, out=offsets[1:])
+    if 3 * scheme.degree_distribution.max_degree < (n_window if fr else n_window - 1):
+        return _place_wide(fr, n_window, arrival_slots, degrees, offsets, rng), offsets
+    grid = FrameGrid(n_window)
+    rows = [
+        place_fr(t, l, grid, rng) if fr else place_sw(t, l, n_window, rng)
+        for t, l in zip(arrival_slots.tolist(), degrees.tolist())
+    ]
+    return np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(offsets[-1])), offsets
+
+
+def _place_wide(fr, n_window, arrival_slots, degrees, offsets, rng) -> np.ndarray:
+    """Pool placement: FR rows draw every replica offset from [0, N_f);
+    SW rows start with offset 0 (the arrival slot) and draw the other
+    ``degree - 1`` from [1, N_sw)."""
+    n_replicas = int(offsets[-1])
+    if n_replicas == 0:
+        return np.empty(0, dtype=np.int64)
+    # low: smallest drawn offset, and the count of undrawn entries heading a row
+    low = 0 if fr else 1
+    if fr:
+        vals = rng.integers(0, n_window, size=n_replicas)
+        base = (arrival_slots // n_window + 1) * n_window
+    else:
+        vals = np.zeros(n_replicas, dtype=np.int64)
+        drawn = np.ones(n_replicas, dtype=bool)
+        drawn[offsets[:-1]] = False
+        if n_replicas > len(degrees):
+            vals[drawn] = rng.integers(1, n_window, size=n_replicas - len(degrees))
+        base = arrival_slots
+    # One sort of row * N + offset sorts every row; equal neighbours are duplicates.
+    key = np.repeat(np.arange(len(degrees), dtype=np.int64) * n_window, degrees) + vals
+    key.sort()
+    dup_rows = np.unique(key[1:][key[1:] == key[:-1]] // n_window)
+    vals = key % n_window
+    for p in dup_rows.tolist():
+        lo, hi = int(offsets[p]) + low, int(offsets[p + 1])
+        picked = set(vals[lo:hi].tolist())
+        while len(picked) < hi - lo:
+            picked.update(rng.integers(low, n_window, size=hi - lo - len(picked)).tolist())
+        vals[lo:hi] = sorted(picked)
+    return vals + np.repeat(base, degrees)
 
 
 def shared_window_slots(arrival_gap_slots: int, window_slots: int) -> int:

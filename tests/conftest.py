@@ -1,7 +1,10 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from craloha import DegreeDistribution, SchemeConfig, TrafficConfig, named_distribution
+from craloha.decoder import peel
 
 
 def make_scheme(mode="SW", window=100, dist="crdsa2", n_rx=None, i_max=50):
@@ -34,3 +37,32 @@ def rng():
 @pytest.fixture
 def degree1():
     return DegreeDistribution(((1, 1.0),))
+
+
+class Fed(NamedTuple):
+    """Decoder outcome keyed by the caller's packet ids."""
+
+    order: list  # decoded ids in resolution order
+    decode_slot: dict  # decoded id -> slot at whose end it resolved
+    clean: set  # ids resolved from a slot holding one instance when ingested
+    lost: dict  # id -> slot at which it stopped being restorable
+    iteration_cap_hits: int
+
+
+def feed(placements, capacity, frame_scoped=False, i_max=50, n_slots=None):
+    """Decode a ``{packet id: replica slots}`` mapping over slots
+    ``0 .. n_slots-1`` (default: through the last replica slot)."""
+    ids = sorted(placements)
+    rows = [sorted(placements[pid]) for pid in ids]
+    offsets = np.cumsum([0] + [len(r) for r in rows])
+    flat = np.array([s for r in rows for s in r], dtype=np.int64)
+    if n_slots is None:
+        n_slots = int(flat.max()) + 1 if len(flat) else 0
+    out = peel(flat, offsets, n_slots, capacity, frame_scoped=frame_scoped, i_max=i_max)
+    return Fed(
+        order=[ids[p] for p in out.order],
+        decode_slot={ids[p]: int(out.decode_slots[p]) for p in out.order},
+        clean={ids[p] for p in np.flatnonzero(out.clean)},
+        lost={ids[p]: int(out.lost_at[p]) for p in np.flatnonzero(out.lost_at >= 0)},
+        iteration_cap_hits=out.iteration_cap_hits,
+    )

@@ -26,9 +26,7 @@ from scipy import stats
 
 from craloha import (
     DegreeDistribution,
-    ReceiverMemory,
     SchemeConfig,
-    SlotState,
     TrafficConfig,
     cdf_at,
     delay_distribution,
@@ -45,6 +43,8 @@ from craloha import (
 )
 from craloha.cli import main as cli_main, parse_config, run_sweep
 from craloha.placement import FrameGrid
+
+from conftest import feed
 
 WORKERS = 2
 
@@ -359,20 +359,6 @@ def test_c07_delay_cdf_dominance(delay_shape_runs):
 # 8. decoder-oracle equivalence
 
 
-def _stream_decode(placements, span, capacity):
-    by_slot = defaultdict(set)
-    for pid, slots in placements.items():
-        for s in slots:
-            by_slot[s].add(pid)
-    mem = ReceiverMemory(capacity)
-    decoded = set()
-    for t in range(span):
-        ids = frozenset(by_slot.get(t, ()))
-        mem.ingest_slot(SlotState(t, ids), {p: placements[p] for p in ids})
-        decoded.update(e.packet_id for e in mem.peel())
-    return decoded, mem
-
-
 def test_c08_exhaustive_small_instances():
     """Every placement of up to 3 degree<=3 packets over 6 slots."""
     subsets = []
@@ -392,7 +378,7 @@ def test_c08_exhaustive_small_instances():
     for k in (1, 2, 3):
         for combo in product(subsets, repeat=k):
             placements = dict(enumerate(combo))
-            decoded, _ = _stream_decode(placements, 6, 6)
+            decoded = set(feed(placements, 6, n_slots=6).decode_slot)
             assert decoded == set(oracle_decode(placements)), placements
             cases += 1
     assert _report("8a exhaustive oracle equivalence", True, f"{cases} placements checked")
@@ -409,12 +395,14 @@ def test_c08_random_instances():
             degree = int(rng.integers(1, 5))
             extra = rng.choice(7, size=degree - 1, replace=False) + 1
             placements[pid] = tuple(sorted({a} | {a + int(o) for o in extra}))
-        decoded, mem = _stream_decode(placements, 32, 64)
+        decoded = set(feed(placements, 64, n_slots=32).decode_slot)
         assert decoded == set(oracle_decode(placements)), (trial, placements)
-        live = mem.live_slots()
-        for pid, slots in mem.pending_packets().items():
+        # the undecoded residual is a stopping set: no slot holds one of it
+        residual = [placements[pid] for pid in placements if pid not in decoded]
+        occupancy = np.bincount([s for slots in residual for s in slots], minlength=32)
+        for slots in residual:
             for s in slots:
-                assert len(live[s]) >= 2, (trial, pid, s)
+                assert occupancy[s] >= 2, (trial, slots, s)
     assert _report("8b random oracle equivalence", True, "1e4 instances, residuals verified")
 
 

@@ -1,84 +1,44 @@
+import heapq
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craloha import DecodeCause, ReceiverMemory, SlotState, oracle_decode
+from craloha import oracle_decode
+from craloha.decoder import peel
 
-
-def feed(mem, placements, last_slot=None, i_max=50, descending=False):
-    """Stream slots 0..last_slot built from a pid->slots mapping; return events."""
-    by_slot = {}
-    for pid, slots in placements.items():
-        for s in slots:
-            by_slot.setdefault(s, set()).add(pid)
-    if last_slot is None:
-        last_slot = max((s for ss in placements.values() for s in ss), default=-1)
-    events, losses = [], []
-    for t in range(last_slot + 1):
-        ids = frozenset(by_slot.get(t, ()))
-        pointers = {pid: placements[pid] for pid in ids}
-        losses += mem.ingest_slot(SlotState(t, ids), pointers)
-        events += mem.peel(i_max, _descending=descending)
-    return events, losses
+from conftest import feed
 
 
 class TestIngest:
-    def test_first_slot(self):
-        mem = ReceiverMemory(3)
-        mem.ingest_slot(SlotState(0, frozenset({7})), {7: (0, 1)})
-        assert mem.current_slot == 0
-        assert mem.live_slots() == {0: frozenset({7})}
-
-    def test_out_of_order_rejected(self):
-        mem = ReceiverMemory(3)
-        mem.ingest_slot(SlotState(0, frozenset()), None)
-        with pytest.raises(ValueError, match="out-of-order"):
-            mem.ingest_slot(SlotState(2, frozenset()), None)
-
     def test_capacity_eviction(self):
-        mem = ReceiverMemory(3)
-        placements = {1: (5, 8), 2: (6, 8), 3: (7, 8)}
-        by_slot = {5: {1}, 6: {2}, 7: {3}}
-        mem._current = 4  # start mid-stream
-        for t in (5, 6, 7):
-            mem.ingest_slot(SlotState(t, frozenset(by_slot[t])), {p: placements[p] for p in by_slot[t]})
-            mem.peel()  # resolves each singleton as it arrives
-        assert set(mem.live_slots()) == set()
-        mem2 = ReceiverMemory(3)
-        mem2._current = 4
-        # two packets per slot so nothing decodes; slot 5 must slide out at 8
+        # singletons resolve in the slot they arrive in
+        fed = feed({1: (5, 8), 2: (6, 8), 3: (7, 8)}, 3)
+        assert fed.decode_slot == {1: 5, 2: 6, 3: 7}
+        assert fed.lost == {}
+        # two packets per slot so nothing decodes; slot 5 slides out of the
+        # three-slot memory when slot 8 is ingested, slot 6 at slot 9
         pl = {1: (5, 6), 2: (5, 6), 3: (6, 7), 4: (7, 8), 5: (7, 8), 6: (8, 9)}
-        occupancy = {5: {1, 2}, 6: {1, 2, 3}, 7: {3, 4, 5}, 8: {4, 5, 6}}
-        for t in (5, 6, 7, 8):
-            mem2.ingest_slot(SlotState(t, frozenset(occupancy[t])), {p: pl[p] for p in occupancy[t]})
-            mem2.peel()
-        assert set(mem2.live_slots()) == {6, 7, 8}
-
-    def test_missing_pointers_rejected(self):
-        mem = ReceiverMemory(3)
-        with pytest.raises(ValueError, match="replica pointers"):
-            mem.ingest_slot(SlotState(0, frozenset({1})), None)
+        fed = feed(pl, 3, n_slots=9)
+        assert fed.order == []
+        assert fed.lost == {1: 8, 2: 8}
+        assert feed(pl, 3, n_slots=10).lost == {1: 8, 2: 8, 3: 9}
 
     def test_earliest_replica_eviction_loses_packet(self):
         # a stopping pair never resolves; both packets are lost the moment
         # slot 0 slides out of the two-slot window (at ingest of slot 2)
-        mem = ReceiverMemory(2)
         placements = {1: (0, 1), 2: (0, 1)}
-        events, losses = feed(mem, placements, last_slot=1)
-        assert events == [] and losses == []
-        losses = mem.ingest_slot(SlotState(2, frozenset()), None)
-        assert sorted(losses) == [1, 2]
-        # their slot-1 instances linger as interference until slot 1 evicts
-        assert sorted(mem.dead_ids()) == [1, 2]
-        mem.ingest_slot(SlotState(3, frozenset()), None)
-        assert mem.dead_ids() == frozenset()
+        fed = feed(placements, 2)
+        assert fed.order == [] and fed.lost == {}
+        fed = feed(placements, 2, n_slots=4)
+        assert fed.order == [] and fed.lost == {1: 2, 2: 2}
 
     def test_dead_instance_blocks_slot(self):
         # packet 10 (slots 0,3) is pinned by a stopping pair in slot 0 and
         # dies when slot 0 evicts at t=4; its instance in slot 3 stays as
         # uncancellable interference, so packet 20 (slots 3,6) never becomes
         # singleton in slot 3 and, with slot 6 also blocked, dies in turn
-        mem = ReceiverMemory(4)
         placements = {
             10: (0, 3),
             1: (0, 1),
@@ -88,11 +48,14 @@ class TestIngest:
             4: (6, 7),
             30: (8, 9),
         }
-        events, losses = feed(mem, placements, last_slot=11)
-        decoded = {e.packet_id for e in events}
-        assert decoded == {30}
-        assert 10 in losses and 20 in losses
-        assert set(losses) == {10, 1, 2, 20, 3, 4}
+        fed = feed(placements, 4, n_slots=12)
+        assert set(fed.decode_slot) == {30}
+        assert 10 in fed.lost and 20 in fed.lost
+        assert set(fed.lost) == {10, 1, 2, 20, 3, 4}
+
+    def test_capacity_must_be_positive(self):
+        with pytest.raises(ValueError, match="capacity"):
+            peel(np.array([0]), np.array([0, 1]), 1, 0)
 
 
 class TestPeel:
@@ -100,46 +63,50 @@ class TestPeel:
         # users 1-3 fully collided; user 4 has the only clean instance; the
         # cascade resolves 4, then 3, then 2, then 1
         placements = {1: (0, 1), 2: (0, 1, 2), 3: (2, 3), 4: (3, 4)}
-        mem = ReceiverMemory(10)
-        events, _ = feed(mem, placements)
-        assert [e.packet_id for e in events] == [4, 3, 2, 1]
-        assert events[0].cause is DecodeCause.CLEAN
-        assert all(e.cause is DecodeCause.IC for e in events[1:])
-        assert all(e.decode_slot == 4 for e in events)
+        fed = feed(placements, 10)
+        assert fed.order == [4, 3, 2, 1]
+        assert fed.clean == {4}
+        assert all(s == 4 for s in fed.decode_slot.values())
 
     def test_no_singletons_no_events(self):
-        mem = ReceiverMemory(10)
-        events, _ = feed(mem, {1: (0, 1), 2: (0, 1)})
-        assert events == []
-        mem2 = ReceiverMemory(10)
-        assert mem2.peel() == []
+        assert feed({1: (0, 1), 2: (0, 1)}, 10).order == []
+        fed = feed({}, 10)
+        assert fed.order == [] and fed.lost == {}
 
     def test_fixpoint_is_stable(self):
         placements = {1: (0, 2), 2: (0, 1), 3: (1, 2)}
-        mem = ReceiverMemory(10)
-        feed(mem, placements)
-        assert mem.peel() == []
-        assert mem.peel() == []
+        fed = feed(placements, 10)
+        for extra in (1, 5):
+            assert feed(placements, 10, n_slots=3 + extra).decode_slot == fed.decode_slot
 
     def test_clean_cause_for_born_singleton(self):
-        mem = ReceiverMemory(10)
-        events, _ = feed(mem, {1: (0, 3)})
-        assert [(e.packet_id, e.cause) for e in events] == [(1, DecodeCause.CLEAN)]
+        fed = feed({1: (0, 3)}, 10)
+        assert fed.order == [1] and fed.clean == {1}
 
     def test_iteration_cap_defers_backward_cascade(self):
         # the singleton in slot 4 unlocks a chain running backwards, one scan
         # pass per link; with a 1-pass cap the cascade spreads over later
-        # invocations instead of finishing at the end of slot 4
+        # slots instead of finishing at the end of slot 4
         placements = {1: (0, 1), 2: (0, 1), 3: (1, 2), 4: (2, 3), 5: (3, 4)}
-        unlimited = ReceiverMemory(10)
-        ev_full, _ = feed(unlimited, placements, i_max=50)
-        capped = ReceiverMemory(10)
-        ev_capped, _ = feed(capped, placements, last_slot=8, i_max=1)
-        assert {e.packet_id for e in ev_full} == {e.packet_id for e in ev_capped} == {3, 4, 5}
-        assert all(e.decode_slot == 4 for e in ev_full)
+        full = feed(placements, 10, i_max=50)
+        capped = feed(placements, 10, i_max=1, n_slots=9)
+        assert set(full.decode_slot) == set(capped.decode_slot) == {3, 4, 5}
+        assert all(s == 4 for s in full.decode_slot.values())
         assert capped.iteration_cap_hits > 0
-        assert unlimited.iteration_cap_hits == 0
-        assert max(e.decode_slot for e in ev_capped) > 4
+        assert full.iteration_cap_hits == 0
+        assert max(capped.decode_slot.values()) > 4
+
+    def test_frame_boundary_clears_cut_cascade(self):
+        # the same backward chain inside one 5-slot frame: uncapped it
+        # resolves at the frame's last slot; a cascade cut there is not
+        # resumed, and the frame's undecoded packets are lost when it closes
+        placements = {1: (0, 1), 2: (0, 1), 3: (1, 2), 4: (2, 3), 5: (3, 4)}
+        full = feed(placements, 5, frame_scoped=True, i_max=50)
+        assert full.decode_slot == {3: 4, 4: 4, 5: 4}
+        capped = feed(placements, 5, frame_scoped=True, i_max=1, n_slots=10)
+        assert capped.decode_slot == {5: 4}
+        assert capped.lost == {1: 4, 2: 4, 3: 4, 4: 4}
+        assert capped.iteration_cap_hits == 1
 
     def test_truncated_cascade_when_memory_barely_covers_window(self):
         # a resolvable cascade spanning twice the memory: the trigger lands
@@ -153,55 +120,119 @@ class TestPeel:
             3: (8, 12),
             4: (12, 13),  # trigger: slot 13 is clean
         }
-        small = ReceiverMemory(9)
-        ev_small, losses_small = feed(small, placements, last_slot=23)
-        assert {e.packet_id for e in ev_small} == {3, 4}
-        assert set(losses_small) == {1, 2, 7, 8}
-        big = ReceiverMemory(18)
-        ev_big, losses_big = feed(big, placements, last_slot=23)
-        assert {e.packet_id for e in ev_big} == {1, 2, 3, 4}
-        assert set(losses_big) == {7, 8}
+        small = feed(placements, 9, n_slots=24)
+        assert set(small.decode_slot) == {3, 4}
+        assert set(small.lost) == {1, 2, 7, 8}
+        big = feed(placements, 18, n_slots=24)
+        assert set(big.decode_slot) == {1, 2, 3, 4}
+        assert set(big.lost) == {7, 8}
         # the rescued packets all resolve at the end of the trigger slot
-        assert all(e.decode_slot == 13 for e in ev_big)
+        assert all(s == 13 for s in big.decode_slot.values())
 
 
-class TestScanOrderInvariance:
+def _random_placements(data, n_max, degree_max, n_slots):
+    k = data.draw(st.integers(1, n_max))
+    placements = {}
+    for pid in range(k):
+        degree = data.draw(st.integers(1, degree_max))
+        slots = data.draw(
+            st.lists(st.integers(0, n_slots - 1), min_size=degree, max_size=degree, unique=True)
+        )
+        placements[pid] = tuple(sorted(slots))
+    return placements
+
+
+def _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots):
+    """Reference receiver: per-slot sets, and every peel rescans all live
+    slots. Returns (decode slots, clean ids, loss slots, cap hits)."""
+    by_slot = defaultdict(set)
+    for pid, slots in placements.items():
+        for s in slots:
+            by_slot[s].add(pid)
+    live, born = {}, set()
+    decoded, clean, lost, hits = {}, set(), {}, 0
+    for t in range(n_slots):
+        evicted = live.pop(t - capacity, set())
+        for pid in evicted - lost.keys():
+            lost[pid] = t
+        live[t] = by_slot[t] - decoded.keys()
+        if len(live[t]) == 1 and not live[t] & lost.keys():
+            born.add(t)
+        queue = [s for s, ids in live.items() if len(ids) == 1 and not ids & lost.keys()]
+        passes = 0
+        while queue and passes < i_max:
+            passes += 1
+            heapq.heapify(queue)
+            carry = []
+            while queue:
+                s = heapq.heappop(queue)
+                if len(live[s]) != 1 or live[s] & lost.keys():
+                    continue
+                (pid,) = live[s]
+                decoded[pid] = t
+                if s in born:
+                    clean.add(pid)
+                for r in placements[pid]:
+                    if r in live:
+                        live[r].discard(pid)
+                        if r != s and len(live[r]) == 1 and not live[r] & lost.keys():
+                            (heapq.heappush(queue, r) if r > s else carry.append(r))
+            queue = carry
+        hits += bool(queue)
+        if frame_scoped and (t + 1) % capacity == 0:
+            for ids in live.values():
+                for pid in ids - lost.keys():
+                    lost[pid] = t
+            live.clear()
+    return decoded, clean, lost, hits
+
+
+class TestAgainstSlotBySlotReference:
+    @given(data=st.data())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_reference(self, data):
+        # memories shorter than a packet's span leave dead instances in
+        # later slots; caps of 1-2 passes cut cascades across slots
+        placements = _random_placements(data, 14, 4, 16)
+        capacity = data.draw(st.integers(2, 12))
+        frame_scoped = data.draw(st.booleans())
+        if frame_scoped:
+            # FR placement keeps every packet inside one frame
+            placements = {
+                pid: tuple(sorted({slots[0] - slots[0] % capacity + s % capacity for s in slots}))
+                for pid, slots in placements.items()
+            }
+        i_max = data.draw(st.sampled_from([1, 2, 50]))
+        n_slots = 20
+        fed = feed(placements, capacity, frame_scoped=frame_scoped, i_max=i_max, n_slots=n_slots)
+        ref = _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots)
+        assert (fed.decode_slot, fed.clean, fed.lost, fed.iteration_cap_hits) == ref
+
+
+class TestRelabelInvariance:
     @given(data=st.data())
     @settings(max_examples=150, derandomize=True, deadline=None)
-    def test_descending_scan_matches(self, data):
-        k = data.draw(st.integers(1, 10))
-        placements = {}
-        for pid in range(k):
-            degree = data.draw(st.integers(1, 3))
-            slots = data.draw(
-                st.lists(st.integers(0, 11), min_size=degree, max_size=degree, unique=True)
-            )
-            placements[pid] = tuple(sorted(slots))
-        asc = ReceiverMemory(12)
-        desc = ReceiverMemory(12)
-        ev_a, _ = feed(asc, placements, last_slot=11, descending=False)
-        ev_d, _ = feed(desc, placements, last_slot=11, descending=True)
-        assert {e.packet_id for e in ev_a} == {e.packet_id for e in ev_d}
-        assert {e.packet_id: e.decode_slot for e in ev_a} == {
-            e.packet_id: e.decode_slot for e in ev_d
-        }
+    def test_permuted_ids_keep_decode_slots(self, data):
+        # ids only name packets: the XOR of a singleton slot must recover
+        # whichever id it holds, and no decision may depend on id order
+        placements = _random_placements(data, 10, 3, 12)
+        perm = data.draw(st.permutations(list(placements)))
+        relabelled = {perm[pid]: slots for pid, slots in placements.items()}
+        for i_max in (1, 50):
+            a = feed(placements, 8, i_max=i_max, n_slots=14)
+            b = feed(relabelled, 8, i_max=i_max, n_slots=14)
+            assert {perm[pid]: s for pid, s in a.decode_slot.items()} == b.decode_slot
+            assert {perm[pid]: s for pid, s in a.lost.items()} == b.lost
+            assert {perm[pid] for pid in a.clean} == b.clean
 
 
 class TestAgainstOracle:
     @given(data=st.data())
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_streaming_matches_fixpoint_oracle(self, data):
-        k = data.draw(st.integers(1, 12))
-        placements = {}
-        for pid in range(k):
-            degree = data.draw(st.integers(1, 4))
-            slots = data.draw(
-                st.lists(st.integers(0, 14), min_size=degree, max_size=degree, unique=True)
-            )
-            placements[pid] = tuple(sorted(slots))
-        mem = ReceiverMemory(15)
-        events, losses = feed(mem, placements, last_slot=14)
-        assert {e.packet_id for e in events} == set(oracle_decode(placements))
+        placements = _random_placements(data, 12, 4, 15)
+        fed = feed(placements, 15, n_slots=15)
+        assert set(fed.decode_slot) == set(oracle_decode(placements))
 
     def test_imax_cap_nonbinding_on_random_workload(self):
         rng = np.random.default_rng(8)
@@ -212,12 +243,9 @@ class TestAgainstOracle:
             deg = int(rng.integers(1, 4))
             extra = rng.choice(49, size=deg - 1, replace=False) + 1
             placements[pid] = tuple(sorted([t] + [t + int(o) for o in extra]))
-        a = ReceiverMemory(250)
-        b = ReceiverMemory(250)
-        last = max(s for ss in placements.values() for s in ss)
-        ev_a, _ = feed(a, placements, last_slot=last, i_max=50)
-        ev_b, _ = feed(b, placements, last_slot=last, i_max=10**6)
-        assert {e.packet_id for e in ev_a} == {e.packet_id for e in ev_b}
+        a = feed(placements, 250, i_max=50)
+        b = feed(placements, 250, i_max=10**6)
+        assert a.decode_slot == b.decode_slot
         assert a.iteration_cap_hits == 0
 
     def test_live_residual_is_stopping_set(self):
@@ -227,30 +255,22 @@ class TestAgainstOracle:
                 pid: tuple(sorted(int(s) for s in rng.choice(18, size=int(rng.integers(1, 4)), replace=False)))
                 for pid in range(int(rng.integers(2, 12)))
             }
-            mem = ReceiverMemory(18)
-            feed(mem, placements, last_slot=17)
-            live = mem.live_slots()
-            pending = mem.pending_packets()
+            fed = feed(placements, 18, n_slots=18)
+            assert fed.lost == {}
+            undecoded = [pid for pid in placements if pid not in fed.decode_slot]
             # every slot holding a restorable instance must hold >= 2 instances
-            for pid, slots in pending.items():
-                for s in slots:
-                    assert len(live[s]) >= 2, (pid, s)
+            for pid in undecoded:
+                for s in placements[pid]:
+                    assert sum(s in placements[q] for q in undecoded) >= 2, (pid, s)
 
 
 class TestFrameReset:
-    def test_rejected_for_sliding_memory(self):
-        with pytest.raises(ValueError, match="frame-scoped"):
-            ReceiverMemory(10).frame_reset()
-
     def test_unresolved_pair_lost_at_reset(self):
-        mem = ReceiverMemory(4, frame_scoped=True)
-        feed(mem, {1: (0, 1), 2: (0, 1)}, last_slot=3)
-        assert sorted(mem.frame_reset()) == [1, 2]
-        assert mem.live_slots() == {}
-        assert mem.pending_packets() == {}
+        fed = feed({1: (0, 1), 2: (0, 1)}, 4, frame_scoped=True, n_slots=4)
+        assert fed.order == []
+        assert fed.lost == {1: 3, 2: 3}
 
     def test_fully_decoded_frame_resets_clean(self):
-        mem = ReceiverMemory(4, frame_scoped=True)
-        events, _ = feed(mem, {1: (0, 1), 2: (1, 2)}, last_slot=3)
-        assert {e.packet_id for e in events} == {1, 2}
-        assert mem.frame_reset() == []
+        fed = feed({1: (0, 1), 2: (1, 2)}, 4, frame_scoped=True, n_slots=4)
+        assert set(fed.decode_slot) == {1, 2}
+        assert fed.lost == {}

@@ -1,13 +1,15 @@
 import csv
+import hashlib
 
 import numpy as np
 import pytest
 
 from craloha import (
-    PacketRecord,
+    DegreeDistribution,
+    RunResult,
     TimeConfig,
+    TrafficConfig,
     loss_rate,
-    packet_delay,
     run_simulation,
     throughput,
 )
@@ -24,7 +26,8 @@ class TestDeterminism:
         b = run_simulation(scheme, traffic)
         assert np.array_equal(a.arrival_slots, b.arrival_slots)
         assert np.array_equal(a.degrees, b.degrees)
-        assert a.replica_slots == b.replica_slots
+        assert np.array_equal(a.replica_flat, b.replica_flat)
+        assert np.array_equal(a.replica_offsets, b.replica_offsets)
         assert np.array_equal(a.decode_slots, b.decode_slots)
         assert np.array_equal(a.lost, b.lost)
         assert np.array_equal(a.slot_occupancy, b.slot_occupancy)
@@ -34,6 +37,51 @@ class TestDeterminism:
         a = run_simulation(scheme, make_traffic(lam=0.7, total=20_000, warmup=500, seed=1, window=50))
         b = run_simulation(scheme, make_traffic(lam=0.7, total=20_000, warmup=500, seed=2, window=50))
         assert not np.array_equal(a.arrival_slots, b.arrival_slots)
+
+
+def _digest(r):
+    """sha256 prefix of (decode_slots, lost), as perfbench/bench.py's digest."""
+    h = hashlib.sha256()
+    h.update(np.asarray(r.decode_slots, dtype=np.int64).tobytes())
+    h.update(np.asarray(r.lost, dtype=bool).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (mode, window, n_rx, dist, lambda, i_max, seed) -> digest over 10,000 slots.
+# Covers bulk (3 * max degree < window) and per-packet placement, FR and SW,
+# crdsa2 and irsa8, degree 1, and an i_max=1 point where the cap binds.
+GOLDEN = {
+    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "8c60b74cc05893b7",
+    ("FR", 100, None, "irsa8", 0.7, 50, 12): "93432e75c69686ab",
+    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "46047a6bcb7860bc",
+    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "97f365591f9886eb",
+    ("FR", 20, None, "irsa8", 0.6, 50, 15): "ee0454ccf0be4c2e",
+    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "52d4bb1da364b0d5",
+    ("SW", 1, 10, "deg1", 1.0, 50, 17): "69fc3e8a16fa0a28",
+    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "cb3235b6c61fb84e",
+}
+
+
+def _golden_run(mode, window, n_rx, dist, lam, i_max, seed):
+    if dist == "deg1":
+        dist = DegreeDistribution(((1, 1.0),))
+    scheme = make_scheme(mode, window=window, dist=dist, n_rx=n_rx, i_max=i_max)
+    traffic = make_traffic(lam=lam, total=10_000, warmup=500, seed=seed, window=window)
+    return run_simulation(scheme, traffic)
+
+
+class TestGoldenDigest:
+    """Fixed-seed outputs pinned bit for bit: placement and decoding changes
+    that keep the model must keep these digests."""
+
+    @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+    def test_outputs_unchanged(self, case):
+        assert _digest(_golden_run(*case)) == GOLDEN[case]
+
+    def test_iteration_cap_binds_on_capped_point(self):
+        capped = ("SW", 50, 150, "irsa8", 0.8, 1, 18)
+        uncapped = capped[:5] + (50,) + capped[6:]
+        assert _digest(_golden_run(*capped)) != _digest(_golden_run(*uncapped))
 
 
 class TestZeroTraffic:
@@ -100,34 +148,50 @@ class TestDelaySupport:
         assert throughput(run_simulation(scheme, traffic)) <= 1.0
 
 
+def _one_packet_result(decode_slot, time=TimeConfig()):
+    """Hand-built run holding one degree-2 packet ready at slot 10."""
+    scheme = make_scheme("SW", window=20, n_rx=60)
+    traffic = TrafficConfig(mean_arrival_rate=0.5, total_slots=20, warmup_slots=0, rng_seed=0)
+    return RunResult(
+        scheme=scheme,
+        traffic=traffic,
+        time=time,
+        rng_seed=0,
+        slots_simulated=80,
+        arrival_slots=np.array([10]),
+        degrees=np.array([2]),
+        replica_flat=np.array([10, 12]),
+        replica_offsets=np.array([0, 2]),
+        decode_slots=np.array([decode_slot]),
+        lost=np.array([decode_slot < 0]),
+        slot_occupancy=np.zeros(80, dtype=np.int64),
+    )
+
+
 class TestPacketDelay:
     def test_decoded_delay_formula(self):
-        p = PacketRecord(0, arrival_slot=10, degree=2, replica_slots=(10, 12), decode_slot=10, lost=False)
-        assert packet_delay(p, TimeConfig()) == 251.0
-        p2 = PacketRecord(0, 10, 2, (10, 12), 14, False)
-        assert packet_delay(p2, TimeConfig(slot_duration_ms=2.0, propagation_delay_ms=100.0)) == 110.0
+        assert _one_packet_result(10).delays_ms()[0] == 251.0
+        slow = TimeConfig(slot_duration_ms=2.0, propagation_delay_ms=100.0)
+        assert _one_packet_result(14, slow).delays_ms()[0] == 110.0
 
     def test_lost_packet_has_no_delay(self):
-        p = PacketRecord(0, 10, 2, (10, 12), None, True)
-        assert packet_delay(p, TimeConfig()) is None
+        assert np.isnan(_one_packet_result(-1).delays_ms()[0])
 
-    def test_packets_view_matches_arrays(self):
+    def test_replica_rows_match_arrays(self):
         scheme = make_scheme("SW", window=20, n_rx=60)
         traffic = make_traffic(lam=0.4, total=3_000, warmup=100, seed=8, window=20)
         r = run_simulation(scheme, traffic)
-        packets = r.packets
-        assert len(packets) == r.n_packets
-        for i in (0, len(packets) // 2, len(packets) - 1):
-            p = packets[i]
-            assert p.packet_id == i
-            assert p.arrival_slot == r.arrival_slots[i]
-            assert p.degree == len(p.replica_slots) == r.degrees[i]
-            assert p.replica_slots == r.replica_slots[i]
-            assert p.lost == bool(r.lost[i])
-            assert (p.decode_slot is None) == p.lost
-            if not p.lost:
-                assert p.decode_slot >= p.replica_slots[0]
-                assert packet_delay(p, r.time) == r.delays_ms()[i]
+        assert len(r.replica_offsets) == r.n_packets + 1
+        assert np.array_equal(np.diff(r.replica_offsets), r.degrees)
+        assert r.replica_offsets[-1] == len(r.replica_flat) == r.slot_occupancy.sum()
+        delays = r.delays_ms()
+        for i in (0, r.n_packets // 2, r.n_packets - 1):
+            row = r.replica_flat[r.replica_offsets[i] : r.replica_offsets[i + 1]]
+            assert row[0] == r.arrival_slots[i]  # SW: first replica in the ready slot
+            assert np.all(np.diff(row) > 0) and row[-1] < r.arrival_slots[i] + 20
+            assert (r.decode_slots[i] < 0) == r.lost[i] == np.isnan(delays[i])
+            if not r.lost[i]:
+                assert r.decode_slots[i] >= row[0]
 
 
 class TestTrace:
@@ -139,6 +203,8 @@ class TestTrace:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert set(rows[0]) == {"slot_index", "packet_id", "event", "cause"}
+        slots = [int(x["slot_index"]) for x in rows]
+        assert slots == sorted(slots)  # grouped by slot, in stream order
         decodes = {int(x["packet_id"]): int(x["slot_index"]) for x in rows if x["event"] == "decode"}
         losses = {int(x["packet_id"]) for x in rows if x["event"] == "loss"}
         replicas = {}
@@ -147,7 +213,8 @@ class TestTrace:
                 replicas.setdefault(int(x["packet_id"]), []).append(int(x["slot_index"]))
         assert len(replicas) == r.n_packets
         for pid, slots in replicas.items():
-            assert tuple(sorted(slots)) == r.replica_slots[pid]
+            row = r.replica_flat[r.replica_offsets[pid] : r.replica_offsets[pid + 1]]
+            assert sorted(slots) == row.tolist()
         decoded_ids = set(np.flatnonzero(r.decoded_mask()).tolist())
         assert set(decodes) == decoded_ids
         assert losses == set(np.flatnonzero(r.lost).tolist())

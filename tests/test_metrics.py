@@ -30,7 +30,8 @@ def make_result(arrivals, decode_slots, lost, total_slots, warmup=0, degree=1):
         slots_simulated=total_slots,
         arrival_slots=np.asarray(arrivals, dtype=np.int64),
         degrees=np.full(n, degree, dtype=np.int64),
-        replica_slots=tuple((int(a),) for a in arrivals),
+        replica_flat=np.asarray(arrivals, dtype=np.int64),
+        replica_offsets=np.arange(n + 1, dtype=np.int64),
         decode_slots=np.asarray(decode_slots, dtype=np.int64),
         lost=np.asarray(lost, dtype=bool),
         slot_occupancy=np.zeros(total_slots, dtype=np.int64),

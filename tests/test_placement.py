@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craloha import FrameGrid, place_fr, place_sw, shared_window_slots
-from craloha.placement import sample_without_replacement
+from craloha import DegreeDistribution, FrameGrid, place_fr, place_sw, shared_window_slots
+from craloha.placement import place_replicas, sample_without_replacement
+
+from conftest import make_scheme
 
 
 class TestFrameGrid:
@@ -136,3 +138,70 @@ class TestSampleWithoutReplacement:
                 counts[v] += 1
         freq = counts / (5 * n)
         assert np.abs(freq - 1 / 6).max() < 0.01
+
+
+def _pool_reference(fr, n_window, arrival_slots, degrees, rng):
+    """Per-packet loop over one pool draw, completing duplicate rows with
+    fresh draws in packet order: the reference for the vectorized path."""
+    total = int(degrees.sum())
+    if fr:
+        pool = rng.integers(0, n_window, size=total).tolist() if total else []
+    else:
+        n_extra = total - len(degrees)
+        pool = rng.integers(1, n_window, size=n_extra).tolist() if n_extra else []
+    rows, pos = [], 0
+    for t, l in zip(arrival_slots.tolist(), degrees.tolist()):
+        k = l if fr else l - 1
+        picked = set(pool[pos : pos + k])
+        pos += k
+        while len(picked) < k:
+            picked.update(rng.integers(0 if fr else 1, n_window, size=k - len(picked)).tolist())
+        if fr:
+            base = (t // n_window + 1) * n_window
+            rows.append(sorted(base + v for v in picked))
+        else:
+            rows.append([t] + sorted(t + v for v in picked))
+    return rows
+
+
+class TestPlaceReplicas:
+    @staticmethod
+    def _inputs(seed, n=3_000, horizon=2_000):
+        rng = np.random.default_rng(seed)
+        arrivals = np.sort(rng.integers(0, horizon, size=n))
+        degrees = rng.choice([1, 2, 3, 8], size=n)
+        return arrivals, degrees
+
+    @staticmethod
+    def _rows(flat, offsets):
+        return [flat[offsets[p] : offsets[p + 1]].tolist() for p in range(len(offsets) - 1)]
+
+    @pytest.mark.parametrize("mode", ["FR", "SW"])
+    def test_wide_path_matches_loop_reference(self, mode):
+        # window 30 with degree 8 makes duplicate pool rows common
+        scheme = make_scheme(mode, window=30, dist=DegreeDistribution(((1, 0.2), (2, 0.3), (3, 0.2), (8, 0.3))))
+        arrivals, degrees = self._inputs(5)
+        flat, offsets = place_replicas(scheme, arrivals, degrees, np.random.default_rng(9))
+        ref_rng = np.random.default_rng(9)
+        ref = _pool_reference(mode == "FR", 30, arrivals, degrees, ref_rng)
+        assert self._rows(flat, offsets) == ref
+        assert np.array_equal(np.diff(offsets), degrees)
+
+    @pytest.mark.parametrize("mode", ["FR", "SW"])
+    def test_narrow_path_calls_per_packet_samplers(self, mode):
+        scheme = make_scheme(mode, window=20, dist="irsa8")
+        arrivals, _ = self._inputs(6, n=500, horizon=300)
+        degrees = np.random.default_rng(1).choice([2, 3, 8], size=len(arrivals))
+        flat, offsets = place_replicas(scheme, arrivals, degrees, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        grid = FrameGrid(20)
+        ref = [
+            list(place_fr(t, l, grid, rng) if mode == "FR" else place_sw(t, l, 20, rng))
+            for t, l in zip(arrivals.tolist(), degrees.tolist())
+        ]
+        assert self._rows(flat, offsets) == ref
+
+    def test_no_packets(self):
+        scheme = make_scheme("SW", window=100, dist="crdsa2")
+        flat, offsets = place_replicas(scheme, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.random.default_rng(0))
+        assert len(flat) == 0 and offsets.tolist() == [0]
