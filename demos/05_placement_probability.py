@@ -10,9 +10,9 @@ Carlo check confirms both.
 
 import numpy as np
 
-from craloha import p_uins_fr, p_uins_sw, place_fr, place_sw
+from craloha import SchemeConfig, named_distribution, p_uins_fr, p_uins_sw
 from craloha.analytics import p_uins_fr_terms, p_uins_sw_terms
-from craloha.placement import FrameGrid
+from craloha.placement import place_replicas
 
 L, N_SW, N = 4, 50, 200
 
@@ -27,15 +27,15 @@ print(f"l/N    = {L / N:.12f}")
 rng = np.random.default_rng(5)
 n = 200_000
 target = 10_000
-hits_sw = 0
-for a in rng.integers(target - N + 1, target + 1, size=n):
-    if target in place_sw(int(a), L, N_SW, rng):
-        hits_sw += 1
-grid = FrameGrid(N)
-hits_fr = 0
-for _ in range(n):
-    if target + N in place_fr(target, L, grid, rng):  # any fixed slot of the tx frame
-        hits_fr += 1
+degrees = np.full(n, L)
+irsa4 = named_distribution("irsa4")  # max degree L
+sw = SchemeConfig(mode="SW", window_slots=N_SW, degree_distribution=irsa4, receiver_memory_slots=N_SW)
+arrivals = rng.integers(target - N + 1, target + 1, size=n)
+flat, _ = place_replicas(sw, arrivals, degrees, rng)
+hits_sw = int((flat.reshape(n, L) == target).any(axis=1).sum())
+fr = SchemeConfig(mode="FR", window_slots=N, degree_distribution=irsa4)
+flat, _ = place_replicas(fr, np.full(n, target), degrees, rng)
+hits_fr = int((flat.reshape(n, L) == target + N).any(axis=1).sum())  # any fixed slot of the tx frame
 sigma = np.sqrt((L / N) * (1 - L / N) / n)
 print(f"\nempirical, {n} placements (sigma = {sigma:.2e}):")
 print(f"  SW slot hit rate {hits_sw / n:.5f}")

@@ -28,7 +28,7 @@ from .model import (
     sample_degrees,
     validate_degree_distribution,
 )
-from .placement import FrameGrid, place_fr, place_sw, shared_window_slots
+from .placement import FrameGrid
 from .traffic import ArrivalSchedule, generate_arrivals
 
 __version__ = "0.1.0"
@@ -59,13 +59,10 @@ __all__ = [
     "p_not",
     "p_uins_fr",
     "p_uins_sw",
-    "place_fr",
-    "place_sw",
     "run_simulation",
     "sa_throughput",
     "sample_degree",
     "sample_degrees",
-    "shared_window_slots",
     "slot_degree_pmf",
     "throughput",
     "validate_degree_distribution",

@@ -12,7 +12,6 @@ import math
 from typing import Iterable, Mapping, Union
 
 import numpy as np
-from scipy import stats
 
 from .model import AccessMode, DegreeDistribution, SchemeConfig, TimeConfig, mean_degree
 
@@ -102,16 +101,36 @@ def slot_degree_pmf(
         raise ValueError(f"load must be >= 0, got {load}")
     mean = mean_degree(d) * load
     if n_users is None:
+        # Poisson tails fall faster than exp(-t^2 / (2 (mean + t/3))), so
+        # mean + t with t = 8 sqrt(mean) + 40 leaves far under 1e-12 outside.
+        support = int(mean + 8 * math.sqrt(mean)) + 40 if max_count is None else max_count
+        k = np.arange(support + 1)
+        if mean == 0:
+            pmf = (k == 0).astype(float)
+        else:
+            log_k_factorial = np.array([math.lgamma(v + 1.0) for v in k.tolist()])
+            pmf = np.exp(k * math.log(mean) - mean - log_k_factorial)
         if max_count is None:
-            max_count = int(stats.poisson.isf(1e-13, mean)) + 1 if mean > 0 else 1
-        return stats.poisson.pmf(np.arange(max_count + 1), mean)
+            # Running tail sum from the far end: cut at the first count whose
+            # remaining mass beyond it is below 1e-12.
+            tail = np.cumsum(pmf[::-1])[::-1]
+            pmf = pmf[: int(np.argmax(tail[1:] < 1e-12)) + 1]
+        return pmf
     if n_users < 1:
         raise ValueError(f"n_users must be >= 1, got {n_users}")
     p = mean / n_users
     if p > 1:
         raise ValueError(f"per-user slot probability {p} > 1; increase n_users")
-    k_hi = n_users if max_count is None else min(max_count, n_users)
-    return stats.binom.pmf(np.arange(k_hi + 1), n_users, p)
+    k = np.arange((n_users if max_count is None else min(max_count, n_users)) + 1)
+    if p == 1:
+        return (k == n_users).astype(float)
+    # pmf(k) = pmf(k-1) * (n-k+1)/k * p/(1-p): a running product keeps the
+    # relative error near k ulps, where lgamma differences lose ~n ulps.
+    pmf0 = math.exp(n_users * math.log1p(-p))
+    if pmf0 == 0:
+        raise ValueError(f"Binomial({n_users}, {p}) mass at 0 underflows; use n_users=None")
+    ratios = (n_users - k[1:] + 1) / k[1:] * (p / (1 - p))
+    return pmf0 * np.concatenate(([1.0], np.cumprod(ratios)))
 
 
 def delay_bounds(scheme: SchemeConfig, time: TimeConfig) -> tuple[float, float]:

@@ -33,8 +33,6 @@ from craloha import (
     loss_rate,
     named_distribution,
     oracle_decode,
-    place_fr,
-    place_sw,
     p_uins_fr,
     p_uins_sw,
     run_simulation,
@@ -42,7 +40,7 @@ from craloha import (
     throughput,
 )
 from craloha.cli import main as cli_main, parse_config, run_sweep
-from craloha.placement import FrameGrid
+from craloha.placement import place_replicas
 
 from conftest import feed
 
@@ -144,13 +142,11 @@ def test_c02_placement_probability_equality():
 def test_c02_empirical_placement_frequencies():
     """Empirical per-slot placement frequency matches l/N within 4 sigma."""
     n = 1_000_000
+    degrees = np.full(n, 2)
     # framed: every frame slot is hit with probability l/N_f
     rng = np.random.default_rng(7)
-    counts = np.zeros(100, dtype=np.int64)
-    grid = FrameGrid(100)
-    for _ in range(n):
-        for s in place_fr(5, 2, grid, rng):
-            counts[s - 100] += 1
+    flat, _ = place_replicas(_scheme("FR", 100, "crdsa2"), np.full(n, 5), degrees, rng)
+    counts = np.bincount(flat - 100, minlength=100)
     p = 2 / 100
     tol = 4 * math.sqrt(p * (1 - p) / n)
     fr_dev = float(np.abs(counts / n - p).max())
@@ -159,7 +155,8 @@ def test_c02_empirical_placement_frequencies():
     rng = np.random.default_rng(11)
     target, horizon = 1000, 100
     arrivals = rng.integers(target - horizon + 1, target + 1, size=n)
-    hits = sum(1 for a in arrivals if target in place_sw(int(a), 2, 100, rng))
+    flat, _ = place_replicas(_scheme("SW", 100, "crdsa2", n_rx=100), arrivals, degrees, rng)
+    hits = int((flat.reshape(n, 2) == target).any(axis=1).sum())
     sw_dev = abs(hits / n - p)
 
     ok = fr_dev < tol and sw_dev < tol

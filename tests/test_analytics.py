@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from craloha import (
     SchemeConfig,
     TimeConfig,
     delay_bounds,
+    mean_degree,
     named_distribution,
     oracle_decode,
     p_first,
@@ -124,6 +127,39 @@ class TestSlotDegreePmf:
     def test_overloaded_finite_population_rejected(self):
         with pytest.raises(ValueError):
             slot_degree_pmf(named_distribution("irsa8"), load=1.0, n_users=2)
+
+    @pytest.mark.parametrize("dist", ["crdsa2", "irsa8"])
+    @pytest.mark.parametrize("load", [0.05, 0.5, 1.0, 1.6])
+    def test_matches_scipy_stats(self, dist, load):
+        stats = pytest.importorskip("scipy.stats")
+        d = named_distribution(dist)
+        mean = mean_degree(d) * load
+        pmf = slot_degree_pmf(d, load)
+        assert stats.poisson.sf(len(pmf) - 1, mean) < 1e-12
+        _assert_rel_close(pmf, stats.poisson.pmf(np.arange(len(pmf)), mean))
+        for n_users in (10, 500, 100_000):
+            pmf = slot_degree_pmf(d, load, n_users=n_users)
+            assert len(pmf) == n_users + 1
+            _assert_rel_close(pmf, stats.binom.pmf(np.arange(n_users + 1), n_users, mean / n_users))
+
+    def test_binomial_edges(self):
+        # p = 1 puts all mass at n_users; a mass at 0 below the smallest
+        # double cannot seed the running product
+        assert slot_degree_pmf(named_distribution("crdsa2"), load=1.0, n_users=2).tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(ValueError, match="underflows"):
+            slot_degree_pmf(named_distribution("crdsa2"), load=500.0, n_users=2000)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = "import sys, craloha, craloha.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+
+def _assert_rel_close(ours, ref):
+    """Relative error <= 1e-12 wherever the reference is a normal double."""
+    normal = ref > np.finfo(float).tiny
+    assert np.all(ours[~normal] < 1e-300)
+    assert np.max(np.abs(ours[normal] - ref[normal]) / ref[normal]) <= 1e-12
 
 
 class TestDelayBounds:

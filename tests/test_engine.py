@@ -48,15 +48,15 @@ def _digest(r):
 
 
 # (mode, window, n_rx, dist, lambda, i_max, seed) -> digest over 10,000 slots.
-# Covers bulk (3 * max degree < window) and per-packet placement, FR and SW,
+# Covers wide (3 * max degree < window) and narrow placement, FR and SW,
 # crdsa2 and irsa8, degree 1, and an i_max=1 point where the cap binds.
 GOLDEN = {
     ("FR", 100, None, "crdsa2", 0.55, 50, 11): "8c60b74cc05893b7",
     ("FR", 100, None, "irsa8", 0.7, 50, 12): "93432e75c69686ab",
     ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "46047a6bcb7860bc",
     ("SW", 100, 500, "irsa8", 0.8, 50, 14): "97f365591f9886eb",
-    ("FR", 20, None, "irsa8", 0.6, 50, 15): "ee0454ccf0be4c2e",
-    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "52d4bb1da364b0d5",
+    ("FR", 20, None, "irsa8", 0.6, 50, 15): "73a87993dd14a55c",
+    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "79b071ed83204bcf",
     ("SW", 1, 10, "deg1", 1.0, 50, 17): "69fc3e8a16fa0a28",
     ("SW", 50, 150, "irsa8", 0.8, 1, 18): "cb3235b6c61fb84e",
 }

@@ -2,18 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craloha import DegreeDistribution, FrameGrid, place_fr, place_sw, shared_window_slots
-from craloha.placement import place_replicas, sample_without_replacement
+from craloha import DegreeDistribution, FrameGrid
+from craloha.placement import place_replicas
 
 from conftest import make_scheme
 
 
+def _place(mode, window, arrivals, degrees, rng, max_degree):
+    """``place_replicas`` under a scheme whose distribution has
+    ``max_degree``: that picks the branch (wide when ``3 * max_degree`` is
+    under the eligible offsets), while ``degrees`` sets the rows."""
+    scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((max_degree, 1.0),)))
+    arrivals = np.broadcast_to(np.asarray(arrivals, dtype=np.int64), np.shape(degrees))
+    return place_replicas(scheme, arrivals, degrees, rng)
+
+
+def _rows(flat, offsets):
+    return [flat[offsets[p] : offsets[p + 1]].tolist() for p in range(len(offsets) - 1)]
+
+
 class TestFrameGrid:
     def test_frame_index(self):
+        # slots 0..99 are frame 0 and transmit in frame 1; slot 100 opens frame 1
         g = FrameGrid(100)
-        assert g.frame_index(0) == 0
-        assert g.frame_index(99) == 0
-        assert g.frame_index(100) == 1
+        assert g.tx_frame_start(0) == g.tx_frame_start(99) == 100
+        assert g.tx_frame_start(100) == 200
+        assert g.tx_frame_start(np.array([0, 99, 100, 250])).tolist() == [100, 100, 200, 300]
 
     def test_tx_frame_is_strictly_after_ready_slot(self):
         g = FrameGrid(100)
@@ -26,117 +40,103 @@ class TestFrameGrid:
 
     def test_origin_offset(self):
         g = FrameGrid(10, origin=3)
-        assert g.frame_index(3) == 0
+        assert g.tx_frame_start(2) == 3
         assert g.tx_frame_start(3) == 13
         assert g.tx_frame_start(12) == 13
 
 
 class TestPlaceFr:
     def test_replicas_land_in_next_frame(self, rng):
-        for _ in range(200):
-            slots = place_fr(5, 2, FrameGrid(100), rng)
-            assert len(slots) == 2 and len(set(slots)) == 2
-            assert all(100 <= s <= 199 for s in slots)
-            assert list(slots) == sorted(slots)
+        for max_degree in (2, 100):  # wide, narrow
+            flat, offsets = _place("FR", 100, 5, np.full(200, 2), rng, max_degree)
+            for slots in _rows(flat, offsets):
+                assert len(slots) == 2 and len(set(slots)) == 2
+                assert all(100 <= s <= 199 for s in slots)
+                assert slots == sorted(slots)
 
     def test_full_frame_occupancy(self, rng):
         # degree equal to the frame length fills the transmission frame
-        assert place_fr(50, 100, FrameGrid(100), rng) == tuple(range(100, 200))
+        flat, offsets = _place("FR", 100, 50, np.array([100]), rng, 100)
+        assert _rows(flat, offsets) == [list(range(100, 200))]
 
     def test_degree_above_frame_rejected(self, rng):
         with pytest.raises(ValueError):
-            place_fr(0, 11, FrameGrid(10), rng)
+            _place("FR", 10, 0, np.array([11]), rng, 10)
 
     def test_per_slot_frequency_uniform(self):
         # coarse check here; the 4-sigma check at 1e6 placements is in acceptance
-        rng = np.random.default_rng(2)
-        counts = np.zeros(50, dtype=int)
         n = 200_000
-        for _ in range(n):
-            for s in place_fr(7, 3, FrameGrid(50), rng):
-                counts[s - 50] += 1
-        freq = counts / n
         tol = 5 * np.sqrt(0.06 * 0.94 / n)
-        assert np.abs(freq - 3 / 50).max() < tol
+        for max_degree in (3, 50):  # wide, narrow
+            flat, _ = _place("FR", 50, 7, np.full(n, 3), np.random.default_rng(2), max_degree)
+            freq = np.bincount(flat - 50, minlength=50) / n
+            assert np.abs(freq - 3 / 50).max() < tol
 
 
 class TestPlaceSw:
     def test_degree_one_is_immediate(self, rng):
-        assert place_sw(7, 1, 1, rng) == (7,)
-        assert place_sw(7, 1, 100, rng) == (7,)
+        for window in (1, 100):
+            flat, offsets = _place("SW", window, 7, np.array([1]), rng, 1)
+            assert _rows(flat, offsets) == [[7]]
 
     def test_saturated_window(self, rng):
-        assert place_sw(7, 4, 4, rng) == (7, 8, 9, 10)
+        flat, offsets = _place("SW", 4, 7, np.array([4]), rng, 4)
+        assert _rows(flat, offsets) == [[7, 8, 9, 10]]
 
     def test_first_replica_at_ready_slot(self, rng):
-        for _ in range(200):
-            slots = place_sw(31, 3, 20, rng)
-            assert slots[0] == 31
-            assert len(set(slots)) == 3
-            assert all(32 <= s <= 50 for s in slots[1:])
-            assert list(slots) == sorted(slots)
+        for max_degree in (3, 20):  # wide, narrow
+            flat, offsets = _place("SW", 20, 31, np.full(200, 3), rng, max_degree)
+            for slots in _rows(flat, offsets):
+                assert slots[0] == 31
+                assert len(set(slots)) == 3
+                assert all(32 <= s <= 50 for s in slots[1:])
+                assert slots == sorted(slots)
 
     def test_degree_above_window_rejected(self, rng):
         with pytest.raises(ValueError):
-            place_sw(0, 5, 4, rng)
+            _place("SW", 4, 0, np.array([5]), rng, 4)
 
     def test_offsets_equally_distributed(self):
         # each offset in [1, 99] within 3 sigma of 1/99 at 1e6 placements
-        rng = np.random.default_rng(1)
-        counts = np.zeros(100, dtype=int)
         n = 1_000_000
-        for _ in range(n):
-            counts[place_sw(0, 2, 100, rng)[1]] += 1
+        flat, _ = _place("SW", 100, 0, np.full(n, 2), np.random.default_rng(1), 2)
+        counts = np.bincount(flat[1::2], minlength=100)
         p = 1 / 99
         tol = 3 * np.sqrt(p * (1 - p) / n)
         assert np.abs(counts[1:] / n - p).max() < tol
 
 
-class TestSharedWindowSlots:
-    def test_same_slot_arrivals_share_everything(self):
-        assert shared_window_slots(0, 100) == 100
-
-    def test_disjoint_windows(self):
-        assert shared_window_slots(100, 100) == 0
-        assert shared_window_slots(150, 100) == 0
-
-    def test_partial_overlap(self):
-        assert shared_window_slots(37, 100) == 63
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            shared_window_slots(-1, 100)
-
-    @given(gap=st.integers(0, 400), window=st.integers(1, 300))
-    @settings(max_examples=200, derandomize=True)
-    def test_matches_interval_intersection(self, gap, window):
-        a = set(range(0, window))
-        b = set(range(gap, gap + window))
-        assert shared_window_slots(gap, window) == len(a & b)
-
-
 class TestSampleWithoutReplacement:
-    @given(n=st.integers(1, 64), k=st.integers(0, 64), seed=st.integers(0, 2**16))
+    """Every row is a uniform draw without replacement from its eligible
+    offsets, on the narrow branch (max degree = window)."""
+
+    @given(
+        mode=st.sampled_from(["FR", "SW"]),
+        n=st.integers(1, 64),
+        k=st.integers(0, 64),
+        seed=st.integers(0, 2**16),
+    )
     @settings(max_examples=200, derandomize=True)
-    def test_distinct_and_in_range(self, n, k, seed):
-        if k > n:
+    def test_distinct_and_in_range(self, mode, n, k, seed):
+        rng = np.random.default_rng(seed)
+        degrees = np.full(3, k)
+        if not 1 <= k <= n:
             with pytest.raises(ValueError):
-                sample_without_replacement(np.random.default_rng(seed), n, k)
+                _place(mode, n, 40, degrees, rng, n)
             return
-        out = sample_without_replacement(np.random.default_rng(seed), n, k)
-        assert len(out) == k
-        assert len(set(out.tolist())) == k
-        assert all(0 <= v < n for v in out.tolist())
+        flat, offsets = _place(mode, n, 40, degrees, rng, n)
+        lo = FrameGrid(n).tx_frame_start(40) if mode == "FR" else 40
+        for slots in _rows(flat, offsets):
+            assert len(slots) == k
+            assert len(set(slots)) == k
+            assert all(lo <= s < lo + n for s in slots)
+            assert mode == "FR" or slots[0] == 40
 
     def test_dense_draw_uniform(self):
-        # partial-shuffle branch: drawing n-1 of n hits every value uniformly
-        rng = np.random.default_rng(9)
-        counts = np.zeros(6, dtype=int)
+        # drawing 5 of 6 hits every frame slot uniformly
         n = 60_000
-        for _ in range(n):
-            for v in sample_without_replacement(rng, 6, 5):
-                counts[v] += 1
-        freq = counts / (5 * n)
+        flat, _ = _place("FR", 6, 0, np.full(n, 5), np.random.default_rng(9), 6)
+        freq = np.bincount(flat - 6, minlength=6) / (5 * n)
         assert np.abs(freq - 1 / 6).max() < 0.01
 
 
@@ -188,18 +188,51 @@ class TestPlaceReplicas:
         assert np.array_equal(np.diff(offsets), degrees)
 
     @pytest.mark.parametrize("mode", ["FR", "SW"])
-    def test_narrow_path_calls_per_packet_samplers(self, mode):
+    def test_narrow_rows_sorted_distinct_in_window(self, mode):
+        # 3 * 8 >= 20: irsa8 on a 20-slot window takes the narrow branch
         scheme = make_scheme(mode, window=20, dist="irsa8")
         arrivals, _ = self._inputs(6, n=500, horizon=300)
-        degrees = np.random.default_rng(1).choice([2, 3, 8], size=len(arrivals))
+        degrees = np.random.default_rng(1).choice([1, 2, 3, 8], size=len(arrivals))
         flat, offsets = place_replicas(scheme, arrivals, degrees, np.random.default_rng(4))
-        rng = np.random.default_rng(4)
-        grid = FrameGrid(20)
-        ref = [
-            list(place_fr(t, l, grid, rng) if mode == "FR" else place_sw(t, l, 20, rng))
-            for t, l in zip(arrivals.tolist(), degrees.tolist())
-        ]
-        assert self._rows(flat, offsets) == ref
+        assert np.array_equal(np.diff(offsets), degrees)
+        starts = FrameGrid(20).tx_frame_start(arrivals) if mode == "FR" else arrivals
+        for row, t, lo in zip(self._rows(flat, offsets), arrivals.tolist(), starts.tolist()):
+            assert all(a < b for a, b in zip(row, row[1:]))
+            assert lo <= row[0] and row[-1] < lo + 20
+            assert mode == "FR" or row[0] == t
+
+    @pytest.mark.parametrize("mode,window,degree", [("FR", 5, 2), ("SW", 6, 3)])
+    def test_narrow_subsets_uniform(self, mode, window, degree):
+        # both draw 2 of 5 offsets: each of the 10 subsets within 4 sigma of 1/10
+        n = 100_000
+        scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((degree, 1.0),)))
+        flat, _ = place_replicas(scheme, np.zeros(n, dtype=np.int64), np.full(n, degree), np.random.default_rng(3))
+        rows = flat.reshape(n, degree) - (window if mode == "FR" else 0)
+        if mode == "SW":
+            assert (rows[:, 0] == 0).all()
+            rows = rows[:, 1:]
+        masks = (1 << rows).sum(axis=1)
+        subsets, counts = np.unique(masks, return_counts=True)
+        assert len(subsets) == 10
+        tol = 4 * np.sqrt(0.1 * 0.9 / n)
+        assert np.abs(counts / n - 0.1).max() < tol
+
+    @pytest.mark.parametrize(
+        "mode,window,max_degree,bad",
+        [
+            ("FR", 200, 2, 201),  # wide branch
+            ("FR", 200, 2, 0),
+            ("FR", 20, 8, 21),  # narrow branch
+            ("SW", 200, 2, 201),
+            ("SW", 20, 8, 21),
+            ("SW", 20, 8, 0),
+        ],
+    )
+    def test_out_of_range_degree_rejected(self, mode, window, max_degree, bad):
+        scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((max_degree, 1.0),)))
+        degrees = np.array([2, 2, bad, 2, bad])
+        with pytest.raises(ValueError, match=rf"packet 2 has degree {bad}\b"):
+            place_replicas(scheme, np.arange(5), degrees, np.random.default_rng(0))
 
     def test_no_packets(self):
         scheme = make_scheme("SW", window=100, dist="crdsa2")
