@@ -481,16 +481,20 @@ def _cmd_oracle(args) -> int:
     placements: dict[int, set[int]] = {}
     decoder_decoded: set[int] = set()
     with open(args.trace, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != list(TRACE_FIELDS):
-            print(f"unexpected trace columns {reader.fieldnames}", file=sys.stderr)
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(TRACE_FIELDS):
+            print(f"unexpected trace columns {header}", file=sys.stderr)
             return 2
-        for line in reader:
-            pid = int(line["packet_id"])
-            if line["event"] == "replica":
-                placements.setdefault(pid, set()).add(int(line["slot_index"]))
-            elif line["event"] == "decode":
-                decoder_decoded.add(pid)
+        try:
+            for slot, pid, event, _cause in reader:
+                if event == "replica":
+                    placements.setdefault(int(pid), set()).add(int(slot))
+                elif event == "decode":
+                    decoder_decoded.add(int(pid))
+        except ValueError as exc:
+            print(f"malformed trace line {reader.line_num}: {exc}", file=sys.stderr)
+            return 2
     oracle = oracle_decode(placements, verify_residual=True)
     only_oracle = sorted(oracle - decoder_decoded)
     only_decoder = sorted(decoder_decoded - oracle)

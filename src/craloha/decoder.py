@@ -19,6 +19,17 @@ slot names its packet. Decoding a packet cancels its replicas in every
 slot, future ones included, so only two kinds of slot need a visit: a slot
 that holds exactly one instance when it is ingested, and a slot left with
 one instance by a cancellation.
+
+A numpy pre-pass first resolves, in rounds, every packet left alone in its
+first replica slot once the packets of earlier rounds are cancelled. This
+is exact: no packet resolves before its first replica slot, and every other
+instance there belongs to a packet with an earlier first slot that the
+pre-pass has resolved, so the packet resolves clean at the end of that
+slot. It is the only decode there, or the last decode of the first scan
+when a cut-off cascade resumes there. The remaining slots are visited by a
+forward scan over one flag per slot; every flag is raised ahead of the scan
+position, by a cancellation that leaves a later slot with one instance or
+by a cut-off cascade resuming at the next slot.
 """
 
 from __future__ import annotations
@@ -68,6 +79,8 @@ def peel(
     """
     if capacity < 1:
         raise ValueError(f"capacity must be >= 1, got {capacity}")
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
     flat_a = np.asarray(replica_flat, dtype=np.int64)
     offsets_a = np.asarray(replica_offsets, dtype=np.int64)
     n = len(offsets_a) - 1
@@ -77,38 +90,62 @@ def peel(
     count_a = np.bincount(flat_a, minlength=size)
     xor_a = np.zeros(size, dtype=np.int64)
     np.bitwise_xor.at(xor_a, flat_a, owner)
+    del owner
+    decode = array("q", [-1]) * n
+    clean = bytearray(n)
+    pre_ids = _resolve_first_slots(flat_a, offsets_a, first_a, count_a, xor_a, n_slots, decode, clean)
 
-    # Python-level buffers for the loop: int64 arrays, and a list for flat,
-    # whose per-packet slices iterate fastest. A sorted list is a valid heap.
-    events = np.flatnonzero(count_a[:n_slots] == 1).tolist()
+    # Python-level buffers for the loop: int64 arrays, a flag per slot that
+    # is to be visited, and a list for flat, whose per-packet slices iterate
+    # fastest. Flags are only ever raised ahead of the scan position.
+    flags = bytearray(size + 1)
+    flags[:n_slots] = (count_a[:n_slots] == 1).tobytes()
     count = array("q", count_a.tobytes())
     xor = array("q", xor_a.tobytes())
     first = array("q", first_a.tobytes())
     offsets = array("q", offsets_a.tobytes())
+    del count_a, xor_a
     flat = flat_a.tolist()
-    del owner, count_a, xor_a
-    decode = array("q", [-1]) * n
-    clean = bytearray(n)
     order: list[int] = []
-    born: set[int] = set()  # slots that held one restorable instance when ingested
+    met: list[int] = []  # pre-resolved packets ordered by a resumed cascade
     carried: list[int] = []  # cap-cut candidates, resumed at slot resume_at
     resume_at = -1
     cap_hits = 0
-    last = -1
-    heappop, heappush, heapify = heapq.heappop, heapq.heappush, heapq.heapify
-    while events:
-        t = heappop(events)
-        if t == last:
-            continue
-        if t >= n_slots:
-            break
-        last = t
+    heappop, heappush, heapify, find = heapq.heappop, heapq.heappush, heapq.heapify, flags.find
+    t = find(1, 0, n_slots)
+    while t >= 0:
         lo = t - t % capacity if frame_scoped else t - capacity + 1
-        queue = [s for s in carried if count[s] == 1 and first[xor[s]] >= lo] if resume_at == t else []
-        if count[t] == 1 and first[xor[t]] >= lo:
-            born.add(t)
-            queue.append(t)
-        passes = 0
+        pre = -1
+        if resume_at == t:
+            queue = [s for s in carried if count[s] == 1 and first[xor[s]] >= lo]
+            born = count[t] == 1 and first[xor[t]] >= lo
+            if born:
+                queue.append(t)
+            elif count[t] == 0 and decode[xor[t]] == t:
+                pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
+                met.append(pre)
+            passes = 0
+        elif count[t] == 1 and first[xor[t]] >= lo:
+            # a lone singleton on ingestion: the first pass decodes only it
+            p = xor[t]
+            decode[p] = t
+            order.append(p)
+            clean[p] = 1
+            queue = []
+            for r in flat[offsets[p] : offsets[p + 1]]:
+                c = count[r] - 1
+                count[r] = c
+                xor[r] ^= p
+                if c != 1:
+                    continue
+                if r > t:
+                    flags[r] = 1  # singleton on ingestion, unless cancelled further
+                elif first[xor[r]] >= lo:
+                    queue.append(r)  # behind the scan: the next pass
+            born, passes = False, 1  # the first pass is done
+        else:
+            t = find(1, t + 1, n_slots)
+            continue
         while queue and passes < i_max:
             passes += 1
             heapify(queue)
@@ -120,7 +157,7 @@ def peel(
                 p = xor[s]  # restorable: checked when s was queued
                 decode[p] = t
                 order.append(p)
-                if s in born:
+                if s == t and born:
                     clean[p] = 1
                 for r in flat[offsets[p] : offsets[p + 1]]:
                     c = count[r] - 1
@@ -129,22 +166,33 @@ def peel(
                     if c != 1:
                         continue
                     if r > t:
-                        heappush(events, r)  # singleton on ingestion, unless cancelled further
+                        flags[r] = 1
                     elif first[xor[r]] < lo:
                         continue  # inert interference, never decodable
                     elif r > s:
                         heappush(queue, r)
                     else:
                         carry.append(r)
+            if pre >= 0:
+                order.append(pre)
+                pre = -1
             queue = carry
+        if pre >= 0:
+            order.append(pre)  # no first pass ran
         if queue:
             # resumed at the next slot, where a frame boundary or an eviction
             # filters out the packets that stopped being restorable
             cap_hits += 1
             carried, resume_at = queue, t + 1
-            heappush(events, t + 1)
+            flags[t + 1] = 1
+        t = find(1, t + 1, n_slots)
 
     decode_slots = np.array(decode, dtype=np.int64)
+    if met:
+        pre_ids = pre_ids[~np.isin(pre_ids, met)]
+    # each remaining pre-resolved packet is the only decode at its slot
+    main = np.array(order, dtype=np.int64)
+    order_a = np.insert(main, np.searchsorted(decode_slots[main], decode_slots[pre_ids]), pre_ids)
     if frame_scoped:
         lost_at = first_a - first_a % capacity + capacity - 1
     else:
@@ -153,7 +201,44 @@ def peel(
     return PeelOutcome(
         decode_slots=decode_slots,
         lost_at=lost_at,
-        order=np.asarray(order, dtype=np.int64),
+        order=order_a,
         clean=np.frombuffer(clean, dtype=np.uint8).astype(bool),
         iteration_cap_hits=cap_hits,
     )
+
+
+def _resolve_first_slots(flat, offsets, first, count, xor, n_slots, decode, clean):
+    """Resolve, before the slot loop, every packet left alone in its first
+    replica slot once the packets found in earlier rounds are cancelled.
+
+    Such a packet resolves clean at the end of its first slot ``f``, as it
+    would in the slot loop: it cannot resolve earlier, all its replicas
+    being at or after ``f``, and every other instance in ``f`` belongs to a
+    packet that an earlier round resolved at its own first slot, before
+    ``f``, so ``f`` holds the packet alone when it is ingested. Writes the
+    decodes into the ``decode``/``clean`` buffers, cancels the packets'
+    replicas from ``count``/``xor`` (``f`` keeps the id in ``xor``, with a
+    zero count) and returns their ids in slot order.
+    """
+    decode, clean = np.frombuffer(decode, dtype=np.int64), np.frombuffer(clean, dtype=np.uint8)
+    resolved = np.zeros(len(count), dtype=bool)
+    slots = np.flatnonzero(count[:n_slots] == 1)
+    while True:
+        ids = xor[slots]
+        hit = first[ids] == slots
+        if not hit.any():
+            return xor[np.flatnonzero(resolved)]
+        slots, ids = slots[hit], ids[hit]
+        resolved[slots] = True
+        decode[ids] = slots
+        clean[ids] = 1
+        count[slots] = 0
+        # cancel every later replica of the resolved packets
+        lo = offsets[ids] + 1
+        lengths = offsets[ids + 1] - lo
+        ends = lengths.cumsum()
+        touched = flat[(lo - ends + lengths).repeat(lengths) + np.arange(ends[-1])]
+        np.subtract.at(count, touched, 1)
+        np.bitwise_xor.at(xor, touched, ids.repeat(lengths))
+        touched = np.unique(touched[touched < n_slots])
+        slots = touched[count[touched] == 1]

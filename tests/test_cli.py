@@ -213,3 +213,9 @@ class TestOracleCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
         assert main(["oracle", str(bad)]) == 2
+
+    def test_short_trace_row_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("slot_index,packet_id,event,cause\n0,0,replica,-\n1,0,decode\n")
+        assert main(["oracle", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err

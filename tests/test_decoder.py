@@ -57,6 +57,10 @@ class TestIngest:
         with pytest.raises(ValueError, match="capacity"):
             peel(np.array([0]), np.array([0, 1]), 1, 0)
 
+    def test_iteration_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="i_max"):
+            peel(np.array([0]), np.array([0, 1]), 1, 1, i_max=0)
+
 
 class TestPeel:
     def test_waterfall_cascade_order(self):
@@ -95,6 +99,26 @@ class TestPeel:
         assert capped.iteration_cap_hits > 0
         assert full.iteration_cap_hits == 0
         assert max(capped.decode_slot.values()) > 4
+
+    def test_first_slot_chain_resolves_clean(self):
+        # only slot 0 is a singleton when ingested; cancelling packet 1
+        # leaves packet 2 alone in its first slot, and cancelling 2 leaves
+        # 3 alone in its own: each resolves clean, at its first slot
+        fed = feed({1: (0, 2), 2: (2, 4), 3: (4, 5)}, 10)
+        assert fed.order == [1, 2, 3]
+        assert fed.decode_slot == {1: 0, 2: 2, 3: 4}
+        assert fed.clean == {1, 2, 3}
+
+    def test_resumed_cascade_meets_first_slot_singleton(self):
+        # the 1-pass cap cuts the backward chain at slots 4 and 5; slot 5
+        # also holds packet 0 alone in its first slot, which the resumed
+        # first pass pops after the carried slot 3
+        placements = {1: (0, 1), 2: (0, 1), 3: (1, 2), 4: (2, 3), 5: (3, 4), 0: (5, 7)}
+        fed = feed(placements, 10, i_max=1)
+        assert fed.order == [5, 4, 0, 3]
+        assert fed.decode_slot == {5: 4, 4: 5, 0: 5, 3: 6}
+        assert fed.clean == {5, 0}
+        assert fed.iteration_cap_hits == 2
 
     def test_frame_boundary_clears_cut_cascade(self):
         # the same backward chain inside one 5-slot frame: uncapped it
@@ -144,13 +168,14 @@ def _random_placements(data, n_max, degree_max, n_slots):
 
 def _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots):
     """Reference receiver: per-slot sets, and every peel rescans all live
-    slots. Returns (decode slots, clean ids, loss slots, cap hits)."""
+    slots. Returns (decode slots, clean ids, loss slots, cap hits, decoded
+    ids in pop order)."""
     by_slot = defaultdict(set)
     for pid, slots in placements.items():
         for s in slots:
             by_slot[s].add(pid)
     live, born = {}, set()
-    decoded, clean, lost, hits = {}, set(), {}, 0
+    decoded, clean, lost, hits, order = {}, set(), {}, 0, []
     for t in range(n_slots):
         evicted = live.pop(t - capacity, set())
         for pid in evicted - lost.keys():
@@ -170,6 +195,7 @@ def _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots):
                     continue
                 (pid,) = live[s]
                 decoded[pid] = t
+                order.append(pid)
                 if s in born:
                     clean.add(pid)
                 for r in placements[pid]:
@@ -184,7 +210,7 @@ def _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots):
                 for pid in ids - lost.keys():
                     lost[pid] = t
             live.clear()
-    return decoded, clean, lost, hits
+    return decoded, clean, lost, hits, order
 
 
 class TestAgainstSlotBySlotReference:
@@ -206,7 +232,7 @@ class TestAgainstSlotBySlotReference:
         n_slots = 20
         fed = feed(placements, capacity, frame_scoped=frame_scoped, i_max=i_max, n_slots=n_slots)
         ref = _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots)
-        assert (fed.decode_slot, fed.clean, fed.lost, fed.iteration_cap_hits) == ref
+        assert (fed.decode_slot, fed.clean, fed.lost, fed.iteration_cap_hits, fed.order) == ref
 
 
 class TestRelabelInvariance:

@@ -62,12 +62,26 @@ GOLDEN = {
 }
 
 
-def _golden_run(mode, window, n_rx, dist, lam, i_max, seed):
+# The same configs -> sha256 prefix of the --trace CSV, which also pins the
+# resolution order, the clean/ic cause of each decode and the loss rows.
+GOLDEN_TRACE = {
+    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "d786d07ef3722163",
+    ("FR", 100, None, "irsa8", 0.7, 50, 12): "2b2349f3fa20918e",
+    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "6b8632c410cbd463",
+    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "1a0b23d1e9e08518",
+    ("FR", 20, None, "irsa8", 0.6, 50, 15): "f7861bf9ff5e9c02",
+    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "7c8c9799146fde81",
+    ("SW", 1, 10, "deg1", 1.0, 50, 17): "82a981de90a0e131",
+    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "39ef92d005989d60",
+}
+
+
+def _golden_run(mode, window, n_rx, dist, lam, i_max, seed, trace_path=None):
     if dist == "deg1":
         dist = DegreeDistribution(((1, 1.0),))
     scheme = make_scheme(mode, window=window, dist=dist, n_rx=n_rx, i_max=i_max)
     traffic = make_traffic(lam=lam, total=10_000, warmup=500, seed=seed, window=window)
-    return run_simulation(scheme, traffic)
+    return run_simulation(scheme, traffic, trace_path=trace_path)
 
 
 class TestGoldenDigest:
@@ -77,6 +91,12 @@ class TestGoldenDigest:
     @pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
     def test_outputs_unchanged(self, case):
         assert _digest(_golden_run(*case)) == GOLDEN[case]
+
+    @pytest.mark.parametrize("case", list(GOLDEN_TRACE), ids=lambda c: "-".join(map(str, c)))
+    def test_trace_unchanged(self, case, tmp_path):
+        path = tmp_path / "trace.csv"
+        _golden_run(*case, trace_path=path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == GOLDEN_TRACE[case]
 
     def test_iteration_cap_binds_on_capped_point(self):
         capped = ("SW", 50, 150, "irsa8", 0.8, 1, 18)
