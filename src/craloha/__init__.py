@@ -4,9 +4,6 @@ slotted ALOHA (CRDSA / IRSA) simulation and analysis."""
 from .analytics import (
     delay_bounds,
     oracle_decode,
-    p_first,
-    p_i,
-    p_not,
     p_uins_fr,
     p_uins_sw,
     sa_throughput,
@@ -24,22 +21,17 @@ from .model import (
     TrafficConfig,
     mean_degree,
     named_distribution,
-    sample_degree,
     sample_degrees,
-    validate_degree_distribution,
 )
-from .placement import FrameGrid
-from .traffic import ArrivalSchedule, generate_arrivals
+from .traffic import generate_arrivals
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccessMode",
-    "ArrivalSchedule",
     "ConfigError",
     "DegreeDistribution",
     "DelayDistribution",
-    "FrameGrid",
     "NAMED_DISTRIBUTIONS",
     "RunResult",
     "SchemeConfig",
@@ -54,16 +46,11 @@ __all__ = [
     "mean_degree",
     "named_distribution",
     "oracle_decode",
-    "p_first",
-    "p_i",
-    "p_not",
     "p_uins_fr",
     "p_uins_sw",
     "run_simulation",
     "sa_throughput",
-    "sample_degree",
     "sample_degrees",
     "slot_degree_pmf",
     "throughput",
-    "validate_degree_distribution",
 ]

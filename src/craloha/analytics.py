@@ -133,20 +133,24 @@ def slot_degree_pmf(
     return pmf0 * np.concatenate(([1.0], np.cumprod(ratios)))
 
 
-def delay_bounds(scheme: SchemeConfig, time: TimeConfig) -> tuple[float, float]:
-    """(min_ms, max_ms) of the decode delay support.
+def delay_support_slots(scheme: SchemeConfig) -> tuple[int, int]:
+    """(min, max) of ``decode_slot - ready_slot + 1``, both inclusive: FR
+    strictly above the one-slot floor and at most two frame spans, SW
+    within the receiver memory span."""
+    if scheme.mode is AccessMode.FR:
+        return 2, 2 * scheme.window_slots
+    return 1, scheme.receiver_memory_slots
 
-    FR: the minimum is exclusive (delay is strictly above one propagation
-    plus one slot) and the maximum inclusive at two frame durations past the
-    propagation delay. SW: both bounds inclusive, the maximum set by the
-    receiver memory span.
+
+def delay_bounds(scheme: SchemeConfig, time: TimeConfig) -> tuple[float, float]:
+    """(min_ms, max_ms) of the decode delay support, past the propagation
+    delay: the minimum is the one-slot floor, exclusive in FR (whose
+    ``delay_support_slots`` start at two slots) and inclusive in SW; the
+    maximum is ``delay_support_slots``' inclusive maximum.
     """
     t_p = time.propagation_delay_ms
     t_s = time.slot_duration_ms
-    lo = t_p + t_s
-    if scheme.mode is AccessMode.FR:
-        return (lo, t_p + 2 * scheme.window_slots * t_s)
-    return (lo, t_p + scheme.receiver_memory_slots * t_s)
+    return (t_p + t_s, t_p + delay_support_slots(scheme)[1] * t_s)
 
 
 def sa_throughput(g: float) -> float:
@@ -196,8 +200,3 @@ def oracle_decode(placements: Placements, verify_residual: bool = True) -> froze
             raise RuntimeError(f"fixpoint residual is not a stopping set: singleton slots {bad}")
     return frozenset(decoded)
 
-
-def residual_placements(placements: Placements, decoded: Iterable[int]) -> dict[int, frozenset[int]]:
-    """Placements of the packets not in ``decoded`` (the stopping set)."""
-    decoded = set(decoded)
-    return {pid: slots for pid, slots in _normalize_placements(placements).items() if pid not in decoded}

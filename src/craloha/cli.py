@@ -36,6 +36,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -74,50 +75,23 @@ HIST_COLUMNS = ("delay_ms", "count", "pdf", "cdf")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A parsed, validated experiment description."""
+    """A parsed, validated experiment: the model's configs plus the settings
+    only the front end reads.
 
-    mode: AccessMode
-    window: int
-    n_rx: int
+    ``traffic`` holds one row per lambda, in config order, of one
+    TrafficConfig per replication; replication k of a row uses seed+k.
+    """
+
+    scheme: SchemeConfig
+    time: TimeConfig
+    traffic: tuple[tuple[TrafficConfig, ...], ...]
     dist_name: str
-    dist: DegreeDistribution
-    lambdas: tuple[float, ...]
-    total_slots: int
-    warmup: int
-    base_seed: int
-    replications: int
-    t_slot: float = 1.0
-    t_p: float = 250.0
-    i_max: int = 50
-    bin_width_ms: float = 1.0
-    out: str = "results"
-    format: str = "csv"
-    hist: bool = False
-    timestamp: bool = True
-    workers: int = 1
-
-    def scheme(self) -> SchemeConfig:
-        return SchemeConfig(
-            mode=self.mode,
-            window_slots=self.window,
-            degree_distribution=self.dist,
-            receiver_memory_slots=self.n_rx,
-            max_ic_iterations=self.i_max,
-        )
-
-    def traffic(self, lam: float, seed: int) -> TrafficConfig:
-        return TrafficConfig(
-            mean_arrival_rate=lam,
-            total_slots=self.total_slots,
-            warmup_slots=self.warmup,
-            rng_seed=seed,
-        )
-
-    def time(self) -> TimeConfig:
-        return TimeConfig(slot_duration_ms=self.t_slot, propagation_delay_ms=self.t_p)
-
-    def seeds(self) -> tuple[int, ...]:
-        return tuple(self.base_seed + k for k in range(self.replications))
+    bin_width_ms: float
+    out: str
+    format: str
+    hist: bool
+    timestamp: bool
+    workers: int
 
 
 class SpecError(ValueError):
@@ -158,35 +132,46 @@ def _parse_dist(raw: str) -> tuple[str, DegreeDistribution]:
 
 
 _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+_REQUIRED = object()
 
-# key -> (parser, required)
+# key -> (parser, default). A config must set the _REQUIRED keys; a None
+# default is derived from other keys (n_rx from mode, warmup from window).
 _KEYS = {
-    "mode": (lambda s: AccessMode(s.upper()), True),
-    "window": (int, True),
-    "n_rx": (int, False),
-    "dist": (_parse_dist, False),
-    "lambda": (_parse_lambda, True),
-    "total_slots": (int, True),
-    "warmup": (int, False),
-    "seed": (int, False),
-    "replications": (int, False),
-    "t_slot": (float, False),
-    "t_p": (float, False),
-    "i_max": (int, False),
-    "bin_width_ms": (float, False),
-    "out": (str, False),
-    "format": (str, False),
+    "mode": (lambda s: AccessMode(s.upper()), _REQUIRED),
+    "window": (int, _REQUIRED),
+    "n_rx": (int, None),
+    "dist": (_parse_dist, _parse_dist("crdsa2")),
+    "lambda": (_parse_lambda, _REQUIRED),
+    "total_slots": (int, _REQUIRED),
+    "warmup": (int, None),
+    "seed": (int, 0),
+    "replications": (int, 1),
+    "t_slot": (float, TimeConfig.slot_duration_ms),
+    "t_p": (float, TimeConfig.propagation_delay_ms),
+    "i_max": (int, SchemeConfig.max_ic_iterations),
+    "bin_width_ms": (float, 1.0),
+    "out": (str, "results"),
+    "format": (str, "csv"),
     "hist": (lambda s: _BOOL[s.lower()], False),
-    "timestamp": (lambda s: _BOOL[s.lower()], False),
-    "workers": (int, False),
+    "timestamp": (lambda s: _BOOL[s.lower()], True),
+    "workers": (int, 1),
 }
+
+
+def _traffic(lam: float, total_slots: int, warmup: int, seed: int) -> TrafficConfig:
+    try:
+        return TrafficConfig(lam, total_slots, warmup, seed)
+    except ConfigError as exc:
+        raise ConfigError(f"lambda={lam:g} seed={seed}: {exc}") from None
 
 
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate flat key=value config text.
 
     All problems are collected and reported together, each prefixed with its
-    line number; unknown keys are errors.
+    line number; unknown keys are errors. Every (lambda, seed) point is
+    validated before the spec is returned, so no bad point is found midway
+    through a sweep.
     """
     values: dict[str, object] = {}
     errors: list[str] = []
@@ -203,7 +188,7 @@ def parse_config(text: str) -> ExperimentSpec:
         if key not in _KEYS:
             errors.append(f"line {lineno}: unknown key {key!r}")
             continue
-        if key in values:
+        if key in seen_lines:
             errors.append(f"line {lineno}: duplicate key {key!r} (first on line {seen_lines[key]})")
             continue
         seen_lines[key] = lineno
@@ -212,17 +197,16 @@ def parse_config(text: str) -> ExperimentSpec:
             values[key] = parser(raw)
         except (ValueError, KeyError, ConfigError) as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
-    for key, (_, required) in _KEYS.items():
-        if required and key not in values:
-            errors.append(f"missing required key {key!r}")
+    for key, (_, default) in _KEYS.items():
+        if key not in seen_lines:
+            if default is _REQUIRED:
+                errors.append(f"missing required key {key!r}")
+            values[key] = default
     if errors:
         raise SpecError("\n".join(errors))
 
-    mode: AccessMode = values["mode"]  # type: ignore[assignment]
-    window: int = values["window"]  # type: ignore[assignment]
-    dist_name, dist = values.get("dist", ("crdsa2", named_distribution("crdsa2")))
-    total_slots: int = values["total_slots"]  # type: ignore[assignment]
-    warmup = values.get("warmup")
+    window, total_slots = values["window"], values["total_slots"]
+    warmup = values["warmup"]
     if warmup is None:
         warmup = 10 * window
         if warmup >= total_slots:
@@ -230,58 +214,44 @@ def parse_config(text: str) -> ExperimentSpec:
                 f"default warmup (10*window = {warmup}) does not fit in "
                 f"total_slots={total_slots}; set warmup explicitly"
             )
-    n_rx = values.get("n_rx", window if mode is AccessMode.FR else None)
-    if n_rx is None:
+    if values["mode"] is AccessMode.SW and values["n_rx"] is None:
         raise SpecError("missing required key 'n_rx' (required in SW mode)")
-    spec = dict(
-        mode=mode,
-        window=window,
-        n_rx=n_rx,
-        dist_name=dist_name,
-        dist=dist,
-        lambdas=values["lambda"],
-        total_slots=total_slots,
-        warmup=warmup,
-        base_seed=values.get("seed", 0),
-        replications=values.get("replications", 1),
-    )
-    for key, attr in (
-        ("t_slot", "t_slot"),
-        ("t_p", "t_p"),
-        ("i_max", "i_max"),
-        ("bin_width_ms", "bin_width_ms"),
-        ("out", "out"),
-        ("format", "format"),
-        ("hist", "hist"),
-        ("timestamp", "timestamp"),
-        ("workers", "workers"),
-    ):
-        if key in values:
-            spec[attr] = values[key]
+    if values["replications"] < 1:
+        raise SpecError(f"replications must be >= 1, got {values['replications']}")
+    dist_name, dist = values["dist"]
+    seeds = [values["seed"] + k for k in range(values["replications"])]
     try:
-        result = ExperimentSpec(**spec)  # type: ignore[arg-type]
-        # fail fast on inconsistent combinations before any simulation work
-        result.scheme()
-        result.traffic(result.lambdas[0], result.base_seed)
-        result.time()
+        scheme = SchemeConfig(values["mode"], window, dist, values["n_rx"], values["i_max"])
+        time = TimeConfig(values["t_slot"], values["t_p"])
+        traffic = tuple(
+            tuple(_traffic(lam, total_slots, warmup, seed) for seed in seeds) for lam in values["lambda"]
+        )
     except ConfigError as exc:
         raise SpecError(str(exc)) from None
-    if result.replications < 1:
-        raise SpecError(f"replications must be >= 1, got {result.replications}")
-    if result.format not in ("csv", "json", "both"):
-        raise SpecError(f"format must be csv, json or both, got {result.format!r}")
-    if result.workers < 1:
-        raise SpecError(f"workers must be >= 1, got {result.workers}")
-    return result
+    if values["format"] not in ("csv", "json", "both"):
+        raise SpecError(f"format must be csv, json or both, got {values['format']!r}")
+    if values["workers"] < 1:
+        raise SpecError(f"workers must be >= 1, got {values['workers']}")
+    if not values["bin_width_ms"] > 0:
+        raise SpecError(f"bin_width_ms must be > 0, got {values['bin_width_ms']}")
+    return ExperimentSpec(
+        scheme=scheme,
+        time=time,
+        traffic=traffic,
+        dist_name=dist_name,
+        **{k: values[k] for k in ("bin_width_ms", "out", "format", "hist", "timestamp", "workers")},
+    )
 
 
-def _run_point(args: tuple[ExperimentSpec, float, int]) -> dict:
-    spec, lam, seed = args
+def _run_point(
+    scheme: SchemeConfig, time: TimeConfig, bin_width_ms: float, traffic: TrafficConfig, trace_path=None
+) -> dict:
+    lam, seed = traffic.mean_arrival_rate, traffic.rng_seed
     try:
-        r = run_simulation(spec.scheme(), spec.traffic(lam, seed), spec.time())
+        r = run_simulation(scheme, traffic, time, trace_path=trace_path)
     except Exception as exc:
-        raise RuntimeError(f"sweep point lambda={lam} seed={seed} failed: {exc}") from exc
-    dist = delay_distribution(r, spec.bin_width_ms)
+        raise RuntimeError(f"point lambda={lam} seed={seed} failed: {exc}") from exc
+    dist = delay_distribution(r, bin_width_ms)
     return {
         "lambda": lam,
         "seed": seed,
@@ -295,14 +265,14 @@ def _run_point(args: tuple[ExperimentSpec, float, int]) -> dict:
     }
 
 
-def _aggregate(spec: ExperimentSpec, lam: float, points: list[dict]) -> dict:
+def _aggregate(spec: ExperimentSpec, points: list[dict]) -> dict:
     thr = [p["throughput"] for p in points]
-    row = {
-        "lambda": lam,
-        "mode": spec.mode.value,
+    return {
+        "lambda": points[0]["lambda"],
+        "mode": spec.scheme.mode.value,
         "dist": spec.dist_name,
-        "window": spec.window,
-        "n_rx": spec.n_rx,
+        "window": spec.scheme.window_slots,
+        "n_rx": spec.scheme.receiver_memory_slots,
         "seeds": len(points),
         "throughput_mean": statistics.fmean(thr),
         "throughput_sd": statistics.stdev(thr) if len(thr) > 1 else 0.0,
@@ -312,7 +282,6 @@ def _aggregate(spec: ExperimentSpec, lam: float, points: list[dict]) -> dict:
         "delay_p95_ms": statistics.fmean(p["delay_p95_ms"] for p in points),
         "delay_p99_ms": statistics.fmean(p["delay_p99_ms"] for p in points),
     }
-    return row
 
 
 def _fmt(value) -> str:
@@ -332,21 +301,22 @@ def _write_summary_csv(path: Path, rows: list[dict], timestamp: bool) -> None:
 
 
 def _write_summary_json(path: Path, spec: ExperimentSpec, rows: list[dict], timestamp: bool) -> None:
+    scheme, first = spec.scheme, spec.traffic[0][0]
     payload = {
         "config": {
-            "mode": spec.mode.value,
-            "window": spec.window,
-            "n_rx": spec.n_rx,
+            "mode": scheme.mode.value,
+            "window": scheme.window_slots,
+            "n_rx": scheme.receiver_memory_slots,
             "dist": spec.dist_name,
-            "dist_entries": list(spec.dist.entries),
-            "lambdas": list(spec.lambdas),
-            "total_slots": spec.total_slots,
-            "warmup": spec.warmup,
-            "seed": spec.base_seed,
-            "replications": spec.replications,
-            "t_slot": spec.t_slot,
-            "t_p": spec.t_p,
-            "i_max": spec.i_max,
+            "dist_entries": list(scheme.degree_distribution.entries),
+            "lambdas": [row[0].mean_arrival_rate for row in spec.traffic],
+            "total_slots": first.total_slots,
+            "warmup": first.warmup_slots,
+            "seed": first.rng_seed,
+            "replications": len(spec.traffic[0]),
+            "t_slot": spec.time.slot_duration_ms,
+            "t_p": spec.time.propagation_delay_ms,
+            "i_max": scheme.max_ic_iterations,
             "bin_width_ms": spec.bin_width_ms,
         },
         "rows": rows,
@@ -356,6 +326,17 @@ def _write_summary_json(path: Path, spec: ExperimentSpec, rows: list[dict], time
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_summaries(spec: ExperimentSpec, rows: list[dict], timestamp: bool) -> Path:
+    """Write the summary files ``spec.format`` asks for; returns the output prefix."""
+    out = Path(spec.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    if spec.format in ("csv", "both"):
+        _write_summary_csv(out.with_name(out.name + "_summary.csv"), rows, timestamp)
+    if spec.format in ("json", "both"):
+        _write_summary_json(out.with_name(out.name + "_summary.json"), spec, rows, timestamp)
+    return out
 
 
 def _write_hist_csv(path: Path, hist, timestamp: bool) -> None:
@@ -372,72 +353,41 @@ def _write_hist_csv(path: Path, hist, timestamp: bool) -> None:
 def run_sweep(spec: ExperimentSpec, no_timestamp: bool = False) -> list[dict]:
     """Run every (lambda, seed) point, aggregate per lambda, write outputs.
 
-    Returns the summary rows. Replications of a lambda use seeds
-    base_seed..base_seed+replications-1; points may run in parallel
-    (workers > 1) and are aggregated in deterministic order.
+    Returns the summary rows. Points may run in parallel (workers > 1) and
+    are aggregated in deterministic order.
     """
     timestamp = spec.timestamp and not no_timestamp
-    jobs = [(spec, lam, seed) for lam in spec.lambdas for seed in spec.seeds()]
+    run = partial(_run_point, spec.scheme, spec.time, spec.bin_width_ms)
+    jobs = [t for row in spec.traffic for t in row]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            points = list(pool.map(_run_point, jobs))
+            points = list(pool.map(run, jobs))
     else:
-        points = [_run_point(j) for j in jobs]
-    rows = []
-    per_lambda = len(spec.seeds())
-    out = Path(spec.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    for i, lam in enumerate(spec.lambdas):
-        chunk = points[i * per_lambda : (i + 1) * per_lambda]
-        rows.append(_aggregate(spec, lam, chunk))
-        if spec.hist:
-            for p in chunk:
-                hist_path = out.with_name(f"{out.name}_hist_l{lam:g}_s{p['seed']}.csv")
-                _write_hist_csv(hist_path, p["hist"], timestamp)
-    if spec.format in ("csv", "both"):
-        _write_summary_csv(out.with_name(out.name + "_summary.csv"), rows, timestamp)
-    if spec.format in ("json", "both"):
-        _write_summary_json(out.with_name(out.name + "_summary.json"), spec, rows, timestamp)
+        points = [run(t) for t in jobs]
+    per_lambda = len(spec.traffic[0])
+    rows = [_aggregate(spec, points[i : i + per_lambda]) for i in range(0, len(points), per_lambda)]
+    out = _write_summaries(spec, rows, timestamp)
+    if spec.hist:
+        for p in points:
+            hist_path = out.with_name(f"{out.name}_hist_l{p['lambda']:g}_s{p['seed']}.csv")
+            _write_hist_csv(hist_path, p["hist"], timestamp)
     return rows
 
 
 def _cmd_run(args) -> int:
     spec = parse_config(Path(args.config).read_text())
-    if len(spec.lambdas) != 1:
+    if len(spec.traffic) != 1:
         print("run expects a single lambda value; use the sweep subcommand for lists", file=sys.stderr)
         return 2
-    if spec.replications != 1:
+    if len(spec.traffic[0]) != 1:
         print("run executes one replication; ignoring replications>1", file=sys.stderr)
-    lam = spec.lambdas[0]
     timestamp = spec.timestamp and not args.no_timestamp
-    r = run_simulation(
-        spec.scheme(), spec.traffic(lam, spec.base_seed), spec.time(), trace_path=args.trace
-    )
-    dist = delay_distribution(r, spec.bin_width_ms)
-    point = {
-        "lambda": lam,
-        "seed": spec.base_seed,
-        "throughput": throughput(r),
-        "loss_rate": loss_rate(r),
-        "delay_mean_ms": dist.mean_ms,
-        "delay_p50_ms": dist.quantiles[0.5],
-        "delay_p95_ms": dist.quantiles[0.95],
-        "delay_p99_ms": dist.quantiles[0.99],
-    }
-    row = _aggregate(spec, lam, [point])
-    out = Path(spec.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if spec.format in ("csv", "both"):
-        _write_summary_csv(out.with_name(out.name + "_summary.csv"), [row], timestamp)
-    if spec.format in ("json", "both"):
-        _write_summary_json(out.with_name(out.name + "_summary.json"), spec, [row], timestamp)
-    _write_hist_csv(
-        out.with_name(out.name + "_hist.csv"),
-        (dist.lower_edges_ms.tolist(), dist.counts.tolist(), dist.pdf.tolist(), dist.cdf.tolist()),
-        timestamp,
-    )
+    point = _run_point(spec.scheme, spec.time, spec.bin_width_ms, spec.traffic[0][0], trace_path=args.trace)
+    row = _aggregate(spec, [point])
+    out = _write_summaries(spec, [row], timestamp)
+    _write_hist_csv(out.with_name(out.name + "_hist.csv"), point["hist"], timestamp)
     print(
-        f"lambda={lam:g} throughput={row['throughput_mean']:.4f} "
+        f"lambda={row['lambda']:g} throughput={row['throughput_mean']:.4f} "
         f"loss={row['loss_rate_mean']:.4g} mean_delay={row['delay_mean_ms']:.2f}ms"
     )
     return 0

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analytics import delay_support_slots
 from .decoder import PeelOutcome, peel
 from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
-from .placement import FrameGrid, place_replicas
+from .placement import place_replicas, tx_frame_start
 from .traffic import generate_arrivals
 
 TRACE_FIELDS = ("slot_index", "packet_id", "event", "cause")
@@ -40,7 +41,6 @@ class RunResult:
     scheme: SchemeConfig
     traffic: TrafficConfig
     time: TimeConfig
-    rng_seed: int
     slots_simulated: int
     arrival_slots: np.ndarray
     degrees: np.ndarray
@@ -53,10 +53,6 @@ class RunResult:
     @property
     def n_packets(self) -> int:
         return len(self.arrival_slots)
-
-    @property
-    def warmup_slots(self) -> int:
-        return self.traffic.warmup_slots
 
     def measurement_mask(self) -> np.ndarray:
         """Packets whose arrival falls in [warmup, total_slots)."""
@@ -89,8 +85,7 @@ def drain_end_slot(scheme: SchemeConfig, traffic: TrafficConfig) -> int:
     extra slots when total_slots is frame-aligned).
     """
     if scheme.mode is AccessMode.FR:
-        grid = FrameGrid(scheme.window_slots)
-        return grid.tx_frame_start(traffic.total_slots - 1) + scheme.window_slots
+        return tx_frame_start(traffic.total_slots - 1, scheme.window_slots) + scheme.window_slots
     return traffic.total_slots + scheme.receiver_memory_slots
 
 
@@ -102,7 +97,7 @@ def run_simulation(
 ) -> RunResult:
     """Simulate one run; deterministic given the configs and seed."""
     rng = np.random.default_rng(traffic.rng_seed)
-    arrivals = generate_arrivals(traffic, rng).per_slot_counts
+    arrivals = generate_arrivals(traffic, rng)
     n_packets = int(arrivals.sum())
     degrees = sample_degrees(scheme.degree_distribution, rng, n_packets)
     arrival_slots = np.repeat(np.arange(traffic.total_slots, dtype=np.int64), arrivals)
@@ -128,7 +123,6 @@ def run_simulation(
         scheme=scheme,
         traffic=traffic,
         time=time,
-        rng_seed=traffic.rng_seed,
         slots_simulated=end_slot,
         arrival_slots=arrival_slots,
         degrees=degrees,
@@ -170,25 +164,15 @@ def _check_postconditions(r: RunResult) -> None:
     decoded = r.decoded_mask()
     if not bool(np.all(decoded ^ r.lost)):
         raise SimulationInvariantError("conservation violated: packet neither decoded nor lost")
-    if not decoded.any():
-        return
-    diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1
-    if int(diff.min()) < 1:
-        raise SimulationInvariantError("decode before arrival")
     first_replica = r.replica_flat[r.replica_offsets[:-1]][decoded]
     if bool(np.any(r.decode_slots[decoded] < first_replica)):
         raise SimulationInvariantError("decode before first replica slot")
-    # Delay support, asserted on every run: FR strictly above the one-slot
-    # floor and at most two frame spans; SW within the receiver memory span.
-    if r.scheme.mode is AccessMode.FR:
-        lo_ok = diff >= 2
-        hi_ok = diff <= 2 * r.scheme.window_slots
-    else:
-        lo_ok = diff >= 1
-        hi_ok = diff <= r.scheme.receiver_memory_slots
-    if not bool(np.all(lo_ok & hi_ok)):
-        bad = np.flatnonzero(decoded)[~(lo_ok & hi_ok)][:5]
+    # Delay support, asserted on every run.
+    diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1
+    lo, hi = delay_support_slots(r.scheme)
+    out = (diff < lo) | (diff > hi)
+    if bool(out.any()):
         raise SimulationInvariantError(
-            f"delay support violated for packets {bad.tolist()} "
-            f"(mode={r.scheme.mode.value}, diffs={diff[~(lo_ok & hi_ok)][:5].tolist()})"
+            f"delay support violated for packets {np.flatnonzero(decoded)[out][:5].tolist()} "
+            f"(mode={r.scheme.mode.value}, diffs={diff[out][:5].tolist()})"
         )

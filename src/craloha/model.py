@@ -7,6 +7,7 @@ Load G is identified with the mean arrival rate (packets per slot).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -42,22 +43,6 @@ class TimeConfig:
             raise ConfigError(f"propagation_delay_ms must be >= 0, got {self.propagation_delay_ms}")
 
 
-def _check_degree_entries(entries: tuple[tuple[int, float], ...]) -> None:
-    if not entries:
-        raise ConfigError("degree distribution needs at least one (degree, probability) entry")
-    degrees = [l for l, _ in entries]
-    if any(l < 1 for l in degrees):
-        raise ConfigError(f"degrees must be >= 1, got {sorted(degrees)}")
-    if len(set(degrees)) != len(degrees):
-        raise ConfigError(f"duplicate degrees in {sorted(degrees)}")
-    for l, p in entries:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"probability for degree {l} out of [0,1]: {p}")
-    total = sum(p for _, p in entries)
-    if abs(total - 1.0) > PROB_TOL:
-        raise ConfigError(f"degree probabilities sum to {total!r}, not 1 within {PROB_TOL}")
-
-
 @dataclass(frozen=True)
 class DegreeDistribution:
     """Probability mass over replica counts (burst degrees).
@@ -71,8 +56,20 @@ class DegreeDistribution:
     def __post_init__(self) -> None:
         entries = tuple(sorted((int(l), float(p)) for l, p in self.entries))
         object.__setattr__(self, "entries", entries)
-        _check_degree_entries(entries)
-        object.__setattr__(self, "_degrees", np.array([l for l, _ in entries], dtype=np.int64))
+        if not entries:
+            raise ConfigError("degree distribution needs at least one (degree, probability) entry")
+        degrees = [l for l, _ in entries]
+        if any(l < 1 for l in degrees):
+            raise ConfigError(f"degrees must be >= 1, got {degrees}")
+        if len(set(degrees)) != len(degrees):
+            raise ConfigError(f"duplicate degrees in {degrees}")
+        for l, p in entries:
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"probability for degree {l} out of [0,1]: {p}")
+        total = sum(p for _, p in entries)
+        if abs(total - 1.0) > PROB_TOL:
+            raise ConfigError(f"degree probabilities sum to {total!r}, not 1 within {PROB_TOL}")
+        object.__setattr__(self, "_degrees", np.array(degrees, dtype=np.int64))
         object.__setattr__(self, "_cum", np.cumsum([p for _, p in entries]))
 
     @property
@@ -83,20 +80,9 @@ class DegreeDistribution:
         return "+".join(f"{p:g}x^{l}" for l, p in self.entries)
 
 
-def validate_degree_distribution(d: DegreeDistribution) -> DegreeDistribution:
-    """Re-check all invariants of ``d`` and return it unchanged."""
-    _check_degree_entries(d.entries)
-    return d
-
-
 def mean_degree(d: DegreeDistribution) -> float:
     """Average number of replicas per packet, sum(l * p_l)."""
     return float(sum(l * p for l, p in d.entries))
-
-
-def sample_degree(d: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Draw one burst degree; deterministic given the generator state."""
-    return int(sample_degrees(d, rng, 1)[0])
 
 
 def sample_degrees(d: DegreeDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -182,8 +168,8 @@ class TrafficConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mean_arrival_rate < 0:
-            raise ConfigError(f"mean_arrival_rate must be >= 0, got {self.mean_arrival_rate}")
+        if not 0 <= self.mean_arrival_rate < math.inf:
+            raise ConfigError(f"mean_arrival_rate must be finite and >= 0, got {self.mean_arrival_rate}")
         if self.total_slots < 1:
             raise ConfigError(f"total_slots must be >= 1, got {self.total_slots}")
         if not 0 <= self.warmup_slots < self.total_slots:

@@ -2,29 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import AccessMode, SchemeConfig
 
 
-@dataclass(frozen=True)
-class FrameGrid:
-    """Partition of the timeline into frames of frame_length slots."""
+def tx_frame_start(arrival_slots, frame_length: int):
+    """Start of the frame a packet ready at ``arrival_slots`` transmits in
+    (elementwise for an array of ready slots), with frames of
+    ``frame_length`` slots starting at slot 0.
 
-    frame_length: int
-    origin: int = 0
-
-    def tx_frame_start(self, arrival_slot):
-        """Start of the frame a packet ready at ``arrival_slot`` transmits in
-        (elementwise for an array of ready slots).
-
-        Always the first frame start strictly after the ready slot: a packet
-        ready exactly at a frame boundary waits one full frame, which keeps
-        every decode delay strictly above the one-slot floor.
-        """
-        return self.origin + self.frame_length * ((arrival_slot - self.origin) // self.frame_length + 1)
+    Always the first frame start strictly after the ready slot: a packet
+    ready exactly at a frame boundary waits one full frame, which keeps
+    every decode delay strictly above the one-slot floor.
+    """
+    return frame_length * (arrival_slots // frame_length + 1)
 
 
 def place_replicas(
@@ -66,7 +58,7 @@ def place_replicas(
     if drawn.any():
         wide = 3 * scheme.degree_distribution.max_degree < n_window - low
         vals[drawn] = (_sample_wide if wide else _sample_narrow)(degrees - low, low, n_window, rng)
-    base = FrameGrid(n_window).tx_frame_start(arrival_slots) if fr else arrival_slots
+    base = tx_frame_start(arrival_slots, n_window) if fr else arrival_slots
     return vals + np.repeat(base, degrees), offsets
 
 

@@ -6,22 +6,16 @@ at the start of s (in SW mode its first replica goes into slot s).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .model import TrafficConfig
 
 
-class ArrivalSchedule(NamedTuple):
-    per_slot_counts: np.ndarray  # int64, length = total_slots
-
-
-def generate_arrivals(cfg: TrafficConfig, rng: np.random.Generator) -> ArrivalSchedule:
-    """Independent Poisson(mean_arrival_rate) arrival count per slot.
+def generate_arrivals(cfg: TrafficConfig, rng: np.random.Generator) -> np.ndarray:
+    """Independent Poisson(mean_arrival_rate) arrival count per slot, as an
+    int64 array of length total_slots.
 
     numpy's Poisson sampler is exact (inversion / transformed rejection),
     not a normal approximation, so the tail is faithful at high rates.
     """
-    counts = rng.poisson(cfg.mean_arrival_rate, size=cfg.total_slots)
-    return ArrivalSchedule(counts.astype(np.int64, copy=False))
+    return rng.poisson(cfg.mean_arrival_rate, size=cfg.total_slots).astype(np.int64, copy=False)

@@ -14,15 +14,17 @@ from craloha import (
     mean_degree,
     named_distribution,
     oracle_decode,
-    p_first,
-    p_i,
-    p_not,
     p_uins_fr,
     p_uins_sw,
     sa_throughput,
     slot_degree_pmf,
 )
-from craloha.analytics import p_uins_fr_terms, p_uins_sw_terms, residual_placements
+from craloha.analytics import p_first, p_i, p_not, p_uins_fr_terms, p_uins_sw_terms
+
+
+def residual_placements(placements, decoded):
+    """Placements of the packets not in ``decoded`` (the stopping set)."""
+    return {pid: slots for pid, slots in placements.items() if pid not in decoded}
 
 
 class TestPlacementFactors:

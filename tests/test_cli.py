@@ -29,19 +29,21 @@ seed=1
 class TestParseConfig:
     def test_valid_spec(self):
         spec = parse_config(GOOD)
-        assert spec.mode.value == "SW"
-        assert spec.window == 100
-        assert spec.n_rx == 500
-        assert spec.lambdas == (0.6,)
-        assert spec.total_slots == 100_000
+        assert spec.scheme.mode.value == "SW"
+        assert spec.scheme.window_slots == 100
+        assert spec.scheme.receiver_memory_slots == 500
+        (traffic,) = [t for row in spec.traffic for t in row]  # one lambda, one replication
+        assert traffic.mean_arrival_rate == 0.6
+        assert traffic.total_slots == 100_000
         # documented defaults
-        assert spec.t_slot == 1.0 and spec.t_p == 250.0 and spec.i_max == 50
-        assert spec.warmup == 1000  # 10 * window
-        assert spec.replications == 1
+        assert spec.time.slot_duration_ms == 1.0 and spec.time.propagation_delay_ms == 250.0
+        assert spec.scheme.max_ic_iterations == 50
+        assert traffic.warmup_slots == 1000  # 10 * window
+        assert traffic.rng_seed == 1
 
     def test_fr_defaults_memory_to_frame(self):
         spec = parse_config("mode=FR\nwindow=200\ndist=irsa8\nlambda=0.5\ntotal_slots=10000\n")
-        assert spec.n_rx == 200
+        assert spec.scheme.receiver_memory_slots == 200
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(SpecError, match="line 2: unknown key 'bogus'"):
@@ -69,15 +71,19 @@ class TestParseConfig:
 
     def test_lambda_forms(self):
         base = "mode=SW\nwindow=10\nn_rx=20\ntotal_slots=100\nwarmup=10\nlambda={}\n"
-        assert parse_config(base.format("0.5")).lambdas == (0.5,)
-        assert parse_config(base.format("0.1,0.2,0.3")).lambdas == (0.1, 0.2, 0.3)
-        assert parse_config(base.format("0.1:0.4:0.1")).lambdas == (0.1, 0.2, 0.3, 0.4)
+
+        def lambdas(raw):
+            return tuple(row[0].mean_arrival_rate for row in parse_config(base.format(raw)).traffic)
+
+        assert lambdas("0.5") == (0.5,)
+        assert lambdas("0.1,0.2,0.3") == (0.1, 0.2, 0.3)
+        assert lambdas("0.1:0.4:0.1") == (0.1, 0.2, 0.3, 0.4)
 
     def test_inline_distribution(self):
         spec = parse_config(
             "mode=SW\nwindow=10\nn_rx=20\nlambda=0.1\ntotal_slots=100\nwarmup=10\ndist=2:0.5102,4:0.4898\n"
         )
-        assert spec.dist.entries == ((2, 0.5102), (4, 0.4898))
+        assert spec.scheme.degree_distribution.entries == ((2, 0.5102), (4, 0.4898))
 
     def test_warmup_must_fit(self):
         with pytest.raises(SpecError, match="warmup"):
@@ -125,6 +131,39 @@ class TestRunCommand:
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["run", "/nonexistent/x.conf"]) == 1
+
+
+class TestFailFast:
+    """A bad value in any sweep point is a config error before any run starts."""
+
+    BASE = "mode=SW\nwindow=20\nn_rx=100\ntotal_slots=2000\nwarmup=100\n"
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("lambda=0.1,-0.2\nseed=1\n", "lambda=-0.2 seed=1: mean_arrival_rate"),
+            ("lambda=0.1\nseed=18446744073709551615\nreplications=2\n", "seed=18446744073709551616: rng_seed"),
+            ("lambda=0.1\nbin_width_ms=0\n", "bin_width_ms must be > 0"),
+            ("lambda=nan\n", "lambda=nan seed=0: mean_arrival_rate must be finite"),
+        ],
+        ids=("negative-later-lambda", "seed-overflow", "zero-bin-width", "nan-lambda"),
+    )
+    def test_bad_point_fails_before_any_run(self, tmp_path, capsys, monkeypatch, lines, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a simulation ran before the config was validated")
+
+        monkeypatch.setattr("craloha.cli.run_simulation", no_run)
+        cfg = write_config(tmp_path, self.BASE + lines + f"out={tmp_path}/res\n")
+        assert main(["sweep", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not list(tmp_path.glob("res*"))
+
+    def test_bad_required_value_is_not_also_missing(self):
+        with pytest.raises(SpecError) as info:
+            parse_config(self.BASE + "lambda=0.5:0.1:0.1\n")
+        assert "bad value for 'lambda'" in str(info.value)
+        assert "missing" not in str(info.value)
 
 
 class TestSweepCommand:

@@ -176,7 +176,6 @@ def _one_packet_result(decode_slot, time=TimeConfig()):
         scheme=scheme,
         traffic=traffic,
         time=time,
-        rng_seed=0,
         slots_simulated=80,
         arrival_slots=np.array([10]),
         degrees=np.array([2]),

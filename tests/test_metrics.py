@@ -26,7 +26,6 @@ def make_result(arrivals, decode_slots, lost, total_slots, warmup=0, degree=1):
         scheme=scheme,
         traffic=traffic,
         time=TimeConfig(),
-        rng_seed=0,
         slots_simulated=total_slots,
         arrival_slots=np.asarray(arrivals, dtype=np.int64),
         degrees=np.full(n, degree, dtype=np.int64),

@@ -10,9 +10,7 @@ from craloha import (
     TrafficConfig,
     mean_degree,
     named_distribution,
-    sample_degree,
     sample_degrees,
-    validate_degree_distribution,
 )
 
 IRSA4 = ((2, 0.5102), (4, 0.4898))
@@ -22,7 +20,7 @@ IRSA8 = ((2, 0.5), (3, 0.28), (8, 0.22))
 class TestDegreeDistribution:
     def test_paper_irsa4_valid(self):
         d = DegreeDistribution(IRSA4)
-        assert validate_degree_distribution(d) is d
+        assert d.entries == IRSA4
         assert d.max_degree == 4
 
     def test_single_degree_crdsa_valid(self):
@@ -73,7 +71,7 @@ class TestMeanDegree:
 class TestSampleDegree:
     def test_degenerate_always_two(self, rng):
         d = DegreeDistribution(((2, 1.0),))
-        assert all(sample_degree(d, rng) == 2 for _ in range(100))
+        assert np.all(sample_degrees(d, rng, 100) == 2)
 
     def test_reproducible(self):
         d = DegreeDistribution(IRSA8)
@@ -171,3 +169,8 @@ class TestTimeAndTraffic:
             TrafficConfig(mean_arrival_rate=0.5, total_slots=10, warmup_slots=10)
         with pytest.raises(ConfigError):
             TrafficConfig(mean_arrival_rate=0.5, total_slots=10, rng_seed=-1)
+
+    @pytest.mark.parametrize("lam", (float("nan"), float("inf")))
+    def test_non_finite_load_rejected(self, lam):
+        with pytest.raises(ConfigError, match="finite"):
+            TrafficConfig(mean_arrival_rate=lam, total_slots=10)

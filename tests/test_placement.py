@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
-from craloha import DegreeDistribution, FrameGrid
-from craloha.placement import place_replicas
+from craloha import DegreeDistribution
+from craloha.placement import place_replicas, tx_frame_start
 
 from conftest import make_scheme
 
@@ -25,25 +25,17 @@ def _rows(flat, offsets):
 class TestFrameGrid:
     def test_frame_index(self):
         # slots 0..99 are frame 0 and transmit in frame 1; slot 100 opens frame 1
-        g = FrameGrid(100)
-        assert g.tx_frame_start(0) == g.tx_frame_start(99) == 100
-        assert g.tx_frame_start(100) == 200
-        assert g.tx_frame_start(np.array([0, 99, 100, 250])).tolist() == [100, 100, 200, 300]
+        assert tx_frame_start(0, 100) == tx_frame_start(99, 100) == 100
+        assert tx_frame_start(100, 100) == 200
+        assert tx_frame_start(np.array([0, 99, 100, 250]), 100).tolist() == [100, 100, 200, 300]
 
     def test_tx_frame_is_strictly_after_ready_slot(self):
-        g = FrameGrid(100)
         # mid-frame arrivals use the next frame; boundary arrivals wait a
         # full frame so the decode delay stays above the one-slot floor
-        assert g.tx_frame_start(5) == 100
-        assert g.tx_frame_start(99) == 100
-        assert g.tx_frame_start(100) == 200
-        assert g.tx_frame_start(0) == 100
-
-    def test_origin_offset(self):
-        g = FrameGrid(10, origin=3)
-        assert g.tx_frame_start(2) == 3
-        assert g.tx_frame_start(3) == 13
-        assert g.tx_frame_start(12) == 13
+        assert tx_frame_start(5, 100) == 100
+        assert tx_frame_start(99, 100) == 100
+        assert tx_frame_start(100, 100) == 200
+        assert tx_frame_start(0, 100) == 100
 
 
 class TestPlaceFr:
@@ -124,7 +116,7 @@ class TestSampleWithoutReplacement:
                 _place(mode, n, 40, degrees, rng, n)
             return
         flat, offsets = _place(mode, n, 40, degrees, rng, n)
-        lo = FrameGrid(n).tx_frame_start(40) if mode == "FR" else 40
+        lo = tx_frame_start(40, n) if mode == "FR" else 40
         for slots in _rows(flat, offsets):
             assert len(slots) == k
             assert len(set(slots)) == k
@@ -194,7 +186,7 @@ class TestPlaceReplicas:
         degrees = np.random.default_rng(1).choice([1, 2, 3, 8], size=len(arrivals))
         flat, offsets = place_replicas(scheme, arrivals, degrees, np.random.default_rng(4))
         assert np.array_equal(np.diff(offsets), degrees)
-        starts = FrameGrid(20).tx_frame_start(arrivals) if mode == "FR" else arrivals
+        starts = tx_frame_start(arrivals, 20) if mode == "FR" else arrivals
         for row, t, lo in zip(self._rows(flat, offsets), arrivals.tolist(), starts.tolist()):
             assert all(a < b for a, b in zip(row, row[1:]))
             assert lo <= row[0] and row[-1] < lo + 20

@@ -5,7 +5,7 @@ from craloha import TrafficConfig, generate_arrivals
 
 def _schedule(lam, total, seed):
     cfg = TrafficConfig(mean_arrival_rate=lam, total_slots=total, warmup_slots=0, rng_seed=seed)
-    return generate_arrivals(cfg, np.random.default_rng(seed)).per_slot_counts
+    return generate_arrivals(cfg, np.random.default_rng(seed))
 
 
 def test_zero_rate_gives_all_zero():
