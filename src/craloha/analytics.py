@@ -2,20 +2,17 @@
 
 The per-slot placement probability is evaluated term by term from the
 sequential-placement factors (it telescopes to degree/horizon for both the
-framed and the sliding-window rule), and the fixpoint oracle re-decodes
-small placement sets by exhaustive rescans with no memory bound.
+framed and the sliding-window rule), and the fixpoint oracle re-decodes a
+run's replica placements by repeated full rescans with no memory bound.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Union
 
 import numpy as np
 
 from .model import AccessMode, DegreeDistribution, SchemeConfig, TimeConfig, mean_degree
-
-Placements = Union[Mapping[int, Iterable[int]], Iterable[Iterable[int]]]
 
 
 def p_i(i: int, n: int) -> float:
@@ -160,43 +157,33 @@ def sa_throughput(g: float) -> float:
     return g * math.exp(-g)
 
 
-def _normalize_placements(placements: Placements) -> dict[int, frozenset[int]]:
-    if isinstance(placements, Mapping):
-        items = placements.items()
-    else:
-        items = enumerate(placements)
-    return {int(pid): frozenset(int(s) for s in slots) for pid, slots in items}
-
-
-def oracle_decode(placements: Placements, verify_residual: bool = True) -> frozenset[int]:
+def oracle_decode(replica_flat, replica_offsets) -> np.ndarray:
     """Peeling fixpoint of a placement set by repeated full rescans.
 
-    No memory bound and no ordering assumptions; returns the unique maximal
-    decodable packet-id set. Intended for exhaustive verification at small
-    sizes (tens of packets); cost grows with packets * slots * rounds.
-    With verify_residual the undecoded remainder is checked to be a
-    stopping set: every occupied residual slot holds at least two instances.
+    Takes the CSR pair ``peel`` takes: packet ``p``'s replica slots are
+    ``replica_flat[replica_offsets[p]:replica_offsets[p+1]]``, distinct
+    non-negative ints in any order. No memory bound and no ordering
+    assumptions; returns the per-packet mask of the unique maximal
+    decodable set. Each round counts the undecoded replicas per slot and
+    decodes every packet with a replica alone in its slot; the rounds end
+    when none is. The undecoded remainder is then checked to be a stopping
+    set: every slot it occupies holds at least two of its instances.
     """
-    pending = _normalize_placements(placements)
-    decoded: set[int] = set()
-    while pending:
-        occupancy: dict[int, int] = {}
-        for slots in pending.values():
-            for s in slots:
-                occupancy[s] = occupancy.get(s, 0) + 1
-        newly = [pid for pid, slots in pending.items() if any(occupancy[s] == 1 for s in slots)]
-        if not newly:
+    flat = np.asarray(replica_flat, dtype=np.int64)
+    offsets = np.asarray(replica_offsets, dtype=np.int64)
+    n_slots = int(flat.max()) + 1 if len(flat) else 0
+    owner = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    decoded = np.zeros(len(offsets) - 1, dtype=bool)
+    slots = flat
+    while len(slots):
+        newly = owner[np.bincount(slots, minlength=n_slots)[slots] == 1]
+        if not len(newly):
             break
-        decoded.update(newly)
-        for pid in newly:
-            del pending[pid]
-    if verify_residual and pending:
-        occupancy = {}
-        for slots in pending.values():
-            for s in slots:
-                occupancy[s] = occupancy.get(s, 0) + 1
-        bad = [s for s, c in occupancy.items() if c < 2]
-        if bad:
-            raise RuntimeError(f"fixpoint residual is not a stopping set: singleton slots {bad}")
-    return frozenset(decoded)
-
+        decoded[newly] = True
+        keep = ~decoded[owner]
+        slots, owner = slots[keep], owner[keep]
+    occupancy = np.bincount(slots, minlength=n_slots)
+    bad = np.unique(slots[occupancy[slots] < 2])
+    if len(bad):
+        raise RuntimeError(f"fixpoint residual is not a stopping set: singleton slots {bad.tolist()}")
+    return decoded

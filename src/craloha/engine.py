@@ -9,7 +9,6 @@ the delay-support invariants as hard postconditions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +137,10 @@ def run_simulation(
 
 # Trace phases within one slot, in the order the receiver runs them.
 _EVICT, _REPLICA, _DECODE, _FRAME_CLOSE = range(4)
+# A trace line's "event,cause" tail, by tag: loss, replica, IC decode,
+# clean decode. Lines are formatted and written _TRACE_CHUNK at a time.
+_TRACE_TAILS = (",loss,-\r\n", ",replica,-\r\n", ",decode,ic\r\n", ",decode,clean\r\n")
+_TRACE_CHUNK = 8192
 
 
 def _write_trace(path, flat, offsets, outcome: PeelOutcome, fr: bool) -> None:
@@ -150,14 +153,17 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, fr: bool) -> None:
     phase = np.repeat(
         [_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], [len(flat), len(order), len(lost)]
     )
-    event = np.array(["loss", "replica", "decode", "loss"], dtype=object)[phase]
-    cause = np.full(len(slot), "-", dtype=object)
-    cause[len(flat) : len(flat) + len(order)] = np.where(outcome.clean[order], "clean", "ic")
+    tag = np.array([0, 1, 2, 0])[phase]
+    tag[len(flat) : len(flat) + len(order)] += outcome.clean[order]
     rows = np.argsort(slot * 4 + phase, kind="stable")
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRACE_FIELDS)
-        w.writerows(zip(slot[rows].tolist(), pid[rows].tolist(), event[rows], cause[rows]))
+        fh.write(",".join(TRACE_FIELDS) + "\r\n")
+        # A string per chunk, not per file: one whole-file string would add
+        # its size to the run's peak memory.
+        for start in range(0, len(rows), _TRACE_CHUNK):
+            r = rows[start : start + _TRACE_CHUNK]
+            lines = zip(slot[r].tolist(), pid[r].tolist(), tag[r].tolist())
+            fh.write("".join([f"{s},{p}{_TRACE_TAILS[t]}" for s, p, t in lines]))
 
 
 def _check_postconditions(r: RunResult) -> None:

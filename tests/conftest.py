@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from craloha import DegreeDistribution, SchemeConfig, TrafficConfig, named_distribution
+from craloha.analytics import oracle_decode
 from craloha.decoder import peel
 
 
@@ -49,13 +50,20 @@ class Fed(NamedTuple):
     iteration_cap_hits: int
 
 
-def feed(placements, capacity, frame_scoped=False, i_max=50, n_slots=None):
-    """Decode a ``{packet id: replica slots}`` mapping over slots
-    ``0 .. n_slots-1`` (default: through the last replica slot)."""
+def _csr(placements):
+    """Sorted packet ids and the CSR arrays of a ``{packet id: replica
+    slots}`` mapping, each packet's slots ascending."""
     ids = sorted(placements)
     rows = [sorted(placements[pid]) for pid in ids]
     offsets = np.cumsum([0] + [len(r) for r in rows])
     flat = np.array([s for r in rows for s in r], dtype=np.int64)
+    return ids, flat, offsets
+
+
+def feed(placements, capacity, frame_scoped=False, i_max=50, n_slots=None):
+    """Decode a ``{packet id: replica slots}`` mapping over slots
+    ``0 .. n_slots-1`` (default: through the last replica slot)."""
+    ids, flat, offsets = _csr(placements)
     if n_slots is None:
         n_slots = int(flat.max()) + 1 if len(flat) else 0
     out = peel(flat, offsets, n_slots, capacity, frame_scoped=frame_scoped, i_max=i_max)
@@ -66,3 +74,10 @@ def feed(placements, capacity, frame_scoped=False, i_max=50, n_slots=None):
         lost={ids[p]: int(out.lost_at[p]) for p in np.flatnonzero(out.lost_at >= 0)},
         iteration_cap_hits=out.iteration_cap_hits,
     )
+
+
+def oracle(placements):
+    """The fixpoint oracle's decoded id set of a ``{packet id: replica
+    slots}`` mapping."""
+    ids, flat, offsets = _csr(placements)
+    return {ids[p] for p in np.flatnonzero(oracle_decode(flat, offsets))}

@@ -350,11 +350,13 @@ def test_c07_delay_cdf_dominance(delay_shape_runs):
 
 
 def _decode_apart(instances, span, capacity):
-    """Decoded id set of each ``{packet id: slots}`` instance over slots
-    ``0 .. span-1`` with a ``capacity``-slot memory (capacity >= span), all
-    from one ``peel`` call. Instance i is moved onto slots
+    """Per ``{packet id: slots}`` instance, the decoded id sets of ``peel``
+    over slots ``0 .. span-1`` with a ``capacity``-slot memory
+    (capacity >= span) and of the fixpoint oracle, all from one ``peel``
+    call and one ``oracle_decode`` call. Instance i is moved onto slots
     ``[i * stride, i * stride + span)`` with ``stride = span + capacity``, so
-    no two instances share a slot or a memory span."""
+    no two instances share a slot or a memory span; the fixpoint of their
+    union is then the union of their fixpoints."""
     stride = span + capacity
     ids, rows = [], []
     for i, placements in enumerate(instances):
@@ -365,10 +367,11 @@ def _decode_apart(instances, span, capacity):
     flat = np.fromiter((s for r in rows for s in r), dtype=np.int64, count=int(offsets[-1]))
     out = peel(flat, offsets, stride * len(instances), capacity)
     assert out.iteration_cap_hits == 0  # each instance's peel ends by its last slot
-    decoded = [set() for _ in instances]
-    for p in np.flatnonzero(out.decode_slots >= 0).tolist():
-        i, pid = ids[p]
-        decoded[i].add(pid)
+    decoded = [(set(), set()) for _ in instances]
+    for side, mask in enumerate((out.decode_slots >= 0, oracle_decode(flat, offsets))):
+        for p in np.flatnonzero(mask).tolist():
+            i, pid = ids[p]
+            decoded[i][side].add(pid)
     return decoded
 
 
@@ -388,8 +391,8 @@ def test_c08_exhaustive_small_instances():
                 if a < b < c:
                     subsets.append((a, b, c))
     instances = [dict(enumerate(combo)) for k in (1, 2, 3) for combo in product(subsets, repeat=k)]
-    for placements, decoded in zip(instances, _decode_apart(instances, 6, 6)):
-        assert decoded == set(oracle_decode(placements)), placements
+    for placements, (decoded, fixpoint) in zip(instances, _decode_apart(instances, 6, 6)):
+        assert decoded == fixpoint, placements
     assert _report("8a exhaustive oracle equivalence", True, f"{len(instances)} placements checked")
 
 
@@ -406,8 +409,8 @@ def test_c08_random_instances():
             extra = rng.choice(7, size=degree - 1, replace=False) + 1
             placements[pid] = tuple(sorted({a} | {a + int(o) for o in extra}))
         instances.append(placements)
-    for trial, (placements, decoded) in enumerate(zip(instances, _decode_apart(instances, 32, 64))):
-        assert decoded == set(oracle_decode(placements)), (trial, placements)
+    for trial, (placements, (decoded, fixpoint)) in enumerate(zip(instances, _decode_apart(instances, 32, 64))):
+        assert decoded == fixpoint, (trial, placements)
         # the undecoded residual is a stopping set: no slot holds one of it
         residual = [placements[pid] for pid in placements if pid not in decoded]
         occupancy = np.bincount([s for slots in residual for s in slots], minlength=32)

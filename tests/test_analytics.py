@@ -13,13 +13,14 @@ from craloha import (
     delay_bounds,
     mean_degree,
     named_distribution,
-    oracle_decode,
     p_uins_fr,
     p_uins_sw,
     sa_throughput,
     slot_degree_pmf,
 )
-from craloha.analytics import p_first, p_i, p_not, p_uins_fr_terms, p_uins_sw_terms
+from craloha.analytics import oracle_decode, p_first, p_i, p_not, p_uins_fr_terms, p_uins_sw_terms
+
+from conftest import oracle
 
 
 def residual_placements(placements, decoded):
@@ -202,29 +203,34 @@ class TestOracleDecode:
     def test_waterfall_layout_fully_decodes(self):
         # users 1..3 fully collided, user 4 holds the only clean instance
         placements = {1: (0, 1), 2: (0, 1, 2), 3: (2, 3), 4: (3, 4)}
-        assert oracle_decode(placements) == frozenset({1, 2, 3, 4})
+        assert oracle(placements) == {1, 2, 3, 4}
 
     def test_minimal_stopping_set(self):
         placements = {1: (0, 1), 2: (0, 1)}
-        decoded = oracle_decode(placements)
-        assert decoded == frozenset()
+        decoded = oracle(placements)
+        assert decoded == set()
         residual = residual_placements(placements, decoded)
         assert set(residual) == {1, 2}
 
     def test_idempotent(self):
         placements = {1: (0, 1), 2: (0, 2), 3: (1, 2), 4: (3,), 5: (3, 4)}
-        decoded = oracle_decode(placements)
+        decoded = oracle(placements)
         rest = residual_placements(placements, decoded)
-        assert oracle_decode(rest) == frozenset()
+        assert oracle(rest) == set()
 
     def test_placement_order_invariant(self):
         items = [(1, (0, 1)), (2, (0, 2)), (3, (2, 5)), (4, (5, 6)), (5, (6, 7))]
-        a = oracle_decode(dict(items))
-        b = oracle_decode(dict(reversed(items)))
+        a = oracle(dict(items))
+        b = oracle(dict(reversed(items)))
         assert a == b
+        # nor does the order of a packet's slots, or of the packets, matter
+        flat, offsets = [1, 0, 2, 0, 5, 2, 6, 5, 7, 6], [0, 2, 4, 6, 8, 10]
+        assert oracle_decode(flat, offsets).tolist() == oracle_decode(flat[::-1], offsets).tolist()[::-1]
 
     def test_accepts_sequence_input(self):
-        assert oracle_decode([(0,), (0, 1)]) == frozenset({0, 1})
+        # the CSR pair may be plain lists; the mask is indexed by packet
+        assert oracle_decode([0, 0, 1], [0, 1, 3]).tolist() == [True, True]
+        assert oracle_decode([], [0]).tolist() == []
 
     def test_residual_is_stopping_set_on_random_instances(self):
         rng = np.random.default_rng(31)
@@ -235,7 +241,7 @@ class TestOracleDecode:
                 deg = int(rng.integers(1, 4))
                 slots = rng.choice(20, size=deg, replace=False)
                 placements[pid] = tuple(int(s) for s in slots)
-            decoded = oracle_decode(placements)  # verify_residual raises on violation
+            decoded = oracle(placements)  # oracle_decode raises on violation
             residual = residual_placements(placements, decoded)
             occupancy = {}
             for slots in residual.values():

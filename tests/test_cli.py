@@ -1,5 +1,7 @@
 import csv
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -118,6 +120,18 @@ class TestRunCommand:
         assert payload["config"]["window"] == 20
         assert "generated" not in payload
 
+    def test_run_json_echoes_the_one_replication_it_ran(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "mode=SW\nwindow=20\nn_rx=100\nlambda=0.4\ntotal_slots=3000\nwarmup=200\nseed=3\n"
+            f"replications=2\nout={tmp_path}/res\nformat=json\n",
+        )
+        assert main(["run", str(cfg), "--no-timestamp"]) == 0
+        assert "ignoring replications>1" in capsys.readouterr().err
+        payload = json.loads((tmp_path / "res_summary.json").read_text())
+        assert payload["config"]["replications"] == 1 == payload["rows"][0]["seeds"]
+        assert payload["config"]["seed"] == 3
+
     def test_run_rejects_lambda_list(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "mode=SW\nwindow=20\nn_rx=100\nlambda=0.1,0.2\ntotal_slots=2000\n"
@@ -206,6 +220,12 @@ class TestSweepCommand:
         par = (tmp_path / "par_summary.csv").read_text()
         assert ser == par
 
+    def test_cli_import_leaves_process_pool_unloaded(self):
+        # only a sweep with workers > 1 needs it
+        code = "import sys, craloha, craloha.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
     def test_hist_files(self, tmp_path):
         text = (
             "mode=SW\nwindow=20\nn_rx=60\nlambda=0.4\ntotal_slots=3000\nwarmup=100\n"
@@ -227,6 +247,26 @@ class TestAnalyticCommand:
 
 
 class TestOracleCommand:
+    @pytest.fixture
+    def trace_lines(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "mode=SW\nwindow=10\nn_rx=4000\nlambda=0.5\ntotal_slots=3000\n"
+            f"warmup=100\nseed=4\nout={tmp_path}/o\ntimestamp=off\n",
+        )
+        assert main(["run", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 0
+        return (tmp_path / "t.csv").read_text().splitlines()
+
+    @staticmethod
+    def oracle(tmp_path, capsys, lines):
+        """(exit code, stdout, stderr) of ``oracle`` on a trace of these lines."""
+        path = tmp_path / "edited.csv"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["oracle", str(path)])
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
     def test_trace_matches_oracle(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,
@@ -258,3 +298,37 @@ class TestOracleCommand:
         bad.write_text("slot_index,packet_id,event,cause\n0,0,replica,-\n1,0,decode\n")
         assert main(["oracle", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "lineno, edit",
+        [
+            (2, lambda f: ["1.5"] + f[1:]),
+            (40, lambda f: [f[0], "x"] + f[2:]),
+            (57, lambda f: f + ["9"]),
+            (300, lambda f: []),
+        ],
+        ids=("non-integer-slot", "non-integer-id", "extra-field", "blank-line"),
+    )
+    def test_malformed_line_is_named(self, tmp_path, capsys, trace_lines, lineno, edit):
+        trace_lines[lineno - 1] = ",".join(edit(trace_lines[lineno - 1].split(",")))
+        code, _, err = self.oracle(tmp_path, capsys, trace_lines)
+        assert code == 2
+        assert f"line {lineno}:" in err
+
+    def test_repeated_lines_and_sparse_ids_keep_set_semantics(self, tmp_path, capsys, trace_lines):
+        code, expect, _ = self.oracle(tmp_path, capsys, trace_lines)
+        assert code == 0 and "MATCH" in expect
+        # every replica line twice: a (packet, slot) pair still counts once
+        doubled = [ln for ln in trace_lines for _ in range(1 + (",replica," in ln))]
+        assert self.oracle(tmp_path, capsys, doubled)[:2] == (0, expect)
+        # ids need be neither dense nor ascending with the packet order
+        header, *rows = trace_lines
+        fields = [ln.split(",") for ln in rows]
+        sparse = [header] + [",".join([f[0], str(10**6 - 7 * int(f[1]))] + f[2:]) for f in fields]
+        assert self.oracle(tmp_path, capsys, sparse)[:2] == (0, expect)
+
+    def test_event_names_compared_exactly(self, tmp_path, capsys):
+        lines = ["slot_index,packet_id,event,cause", "0,0,replica,-", "0,0,decode,clean", "1,1,replicaX,-"]
+        code, out, _ = self.oracle(tmp_path, capsys, lines)
+        assert code == 0
+        assert out.startswith("packets=1 decoder_decoded=1 oracle_decoded=1\n")

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from craloha import oracle_decode
 from craloha.decoder import peel
 
-from conftest import feed
+from conftest import feed, oracle
 
 
 class TestIngest:
@@ -258,7 +257,7 @@ class TestAgainstOracle:
     def test_streaming_matches_fixpoint_oracle(self, data):
         placements = _random_placements(data, 12, 4, 15)
         fed = feed(placements, 15, n_slots=15)
-        assert set(fed.decode_slot) == set(oracle_decode(placements))
+        assert set(fed.decode_slot) == oracle(placements)
 
     def test_imax_cap_nonbinding_on_random_workload(self):
         rng = np.random.default_rng(8)
