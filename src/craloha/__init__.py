@@ -1,29 +1,19 @@
 """craloha: framed and sliding-window contention-resolution diversity
 slotted ALOHA (CRDSA / IRSA) simulation and analysis."""
 
-from .analytics import (
-    delay_bounds,
-    oracle_decode,
-    p_uins_fr,
-    p_uins_sw,
-    sa_throughput,
-    slot_degree_pmf,
-)
+from .analytics import oracle_decode, p_uins_fr, p_uins_sw, sa_throughput
 from .engine import RunResult, SimulationInvariantError, run_simulation
 from .metrics import DelayDistribution, cdf_at, delay_distribution, loss_rate, throughput
 from .model import (
     AccessMode,
     ConfigError,
     DegreeDistribution,
-    NAMED_DISTRIBUTIONS,
     SchemeConfig,
     TimeConfig,
     TrafficConfig,
     mean_degree,
     named_distribution,
-    sample_degrees,
 )
-from .traffic import generate_arrivals
 
 __version__ = "0.1.0"
 
@@ -32,16 +22,13 @@ __all__ = [
     "ConfigError",
     "DegreeDistribution",
     "DelayDistribution",
-    "NAMED_DISTRIBUTIONS",
     "RunResult",
     "SchemeConfig",
     "SimulationInvariantError",
     "TimeConfig",
     "TrafficConfig",
     "cdf_at",
-    "delay_bounds",
     "delay_distribution",
-    "generate_arrivals",
     "loss_rate",
     "mean_degree",
     "named_distribution",
@@ -50,7 +37,5 @@ __all__ = [
     "p_uins_sw",
     "run_simulation",
     "sa_throughput",
-    "sample_degrees",
-    "slot_degree_pmf",
     "throughput",
 ]

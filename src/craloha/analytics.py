@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .model import AccessMode, DegreeDistribution, SchemeConfig, TimeConfig, mean_degree
+from .model import AccessMode, SchemeConfig
 
 
 def p_i(i: int, n: int) -> float:
@@ -81,55 +81,6 @@ def p_uins_sw(degree: int, horizon: int, window_slots: int) -> float:
     return sum(p_uins_sw_terms(degree, horizon, window_slots))
 
 
-def slot_degree_pmf(
-    d: DegreeDistribution,
-    load: float,
-    n_users: int | None = None,
-    max_count: int | None = None,
-) -> np.ndarray:
-    """PMF of the number of instances landing in one slot.
-
-    With a finite population this is Binomial(n_users, mean_degree*load/n_users);
-    with n_users=None it is the infinite-population Poisson(mean_degree*load)
-    limit, truncated at max_count (default: far enough that the clipped tail
-    is below 1e-12).
-    """
-    if load < 0:
-        raise ValueError(f"load must be >= 0, got {load}")
-    mean = mean_degree(d) * load
-    if n_users is None:
-        # Poisson tails fall faster than exp(-t^2 / (2 (mean + t/3))), so
-        # mean + t with t = 8 sqrt(mean) + 40 leaves far under 1e-12 outside.
-        support = int(mean + 8 * math.sqrt(mean)) + 40 if max_count is None else max_count
-        k = np.arange(support + 1)
-        if mean == 0:
-            pmf = (k == 0).astype(float)
-        else:
-            log_k_factorial = np.array([math.lgamma(v + 1.0) for v in k.tolist()])
-            pmf = np.exp(k * math.log(mean) - mean - log_k_factorial)
-        if max_count is None:
-            # Running tail sum from the far end: cut at the first count whose
-            # remaining mass beyond it is below 1e-12.
-            tail = np.cumsum(pmf[::-1])[::-1]
-            pmf = pmf[: int(np.argmax(tail[1:] < 1e-12)) + 1]
-        return pmf
-    if n_users < 1:
-        raise ValueError(f"n_users must be >= 1, got {n_users}")
-    p = mean / n_users
-    if p > 1:
-        raise ValueError(f"per-user slot probability {p} > 1; increase n_users")
-    k = np.arange((n_users if max_count is None else min(max_count, n_users)) + 1)
-    if p == 1:
-        return (k == n_users).astype(float)
-    # pmf(k) = pmf(k-1) * (n-k+1)/k * p/(1-p): a running product keeps the
-    # relative error near k ulps, where lgamma differences lose ~n ulps.
-    pmf0 = math.exp(n_users * math.log1p(-p))
-    if pmf0 == 0:
-        raise ValueError(f"Binomial({n_users}, {p}) mass at 0 underflows; use n_users=None")
-    ratios = (n_users - k[1:] + 1) / k[1:] * (p / (1 - p))
-    return pmf0 * np.concatenate(([1.0], np.cumprod(ratios)))
-
-
 def delay_support_slots(scheme: SchemeConfig) -> tuple[int, int]:
     """(min, max) of ``decode_slot - ready_slot + 1``, both inclusive: FR
     strictly above the one-slot floor and at most two frame spans, SW
@@ -137,17 +88,6 @@ def delay_support_slots(scheme: SchemeConfig) -> tuple[int, int]:
     if scheme.mode is AccessMode.FR:
         return 2, 2 * scheme.window_slots
     return 1, scheme.receiver_memory_slots
-
-
-def delay_bounds(scheme: SchemeConfig, time: TimeConfig) -> tuple[float, float]:
-    """(min_ms, max_ms) of the decode delay support, past the propagation
-    delay: the minimum is the one-slot floor, exclusive in FR (whose
-    ``delay_support_slots`` start at two slots) and inclusive in SW; the
-    maximum is ``delay_support_slots``' inclusive maximum.
-    """
-    t_p = time.propagation_delay_ms
-    t_s = time.slot_duration_ms
-    return (t_p + t_s, t_p + delay_support_slots(scheme)[1] * t_s)
 
 
 def sa_throughput(g: float) -> float:

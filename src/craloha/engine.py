@@ -17,7 +17,6 @@ from .analytics import delay_support_slots
 from .decoder import PeelOutcome, peel
 from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
 from .placement import place_replicas, tx_frame_start
-from .traffic import generate_arrivals
 
 TRACE_FIELDS = ("slot_index", "packet_id", "event", "cause")
 
@@ -33,21 +32,16 @@ class RunResult:
     Packet fields are stored columnar (decode_slots holds -1 for lost
     packets). Packet ``p``'s replica slots are
     ``replica_flat[replica_offsets[p]:replica_offsets[p+1]]``, ascending.
-    ``slot_occupancy`` counts the instances transmitted in each simulated
-    slot, before any decoding.
     """
 
     scheme: SchemeConfig
     traffic: TrafficConfig
     time: TimeConfig
-    slots_simulated: int
     arrival_slots: np.ndarray
-    degrees: np.ndarray
     replica_flat: np.ndarray
     replica_offsets: np.ndarray
     decode_slots: np.ndarray
     lost: np.ndarray
-    slot_occupancy: np.ndarray
 
     @property
     def n_packets(self) -> int:
@@ -74,6 +68,18 @@ class RunResult:
             self.decode_slots[ok] - self.arrival_slots[ok] + 1
         ) * self.time.slot_duration_ms
         return d
+
+
+def generate_arrivals(cfg: TrafficConfig, rng: np.random.Generator) -> np.ndarray:
+    """Independent Poisson(mean_arrival_rate) arrival count per slot, as an
+    int64 array of length total_slots.
+
+    Arrivals are attributed to slot starts: a packet counted in slot s is
+    ready at the start of s (in SW mode its first replica goes into slot s).
+    numpy's Poisson sampler is exact (inversion / transformed rejection),
+    not a normal approximation, so the tail is faithful at high rates.
+    """
+    return rng.poisson(cfg.mean_arrival_rate, size=cfg.total_slots).astype(np.int64, copy=False)
 
 
 def drain_end_slot(scheme: SchemeConfig, traffic: TrafficConfig) -> int:
@@ -122,14 +128,11 @@ def run_simulation(
         scheme=scheme,
         traffic=traffic,
         time=time,
-        slots_simulated=end_slot,
         arrival_slots=arrival_slots,
-        degrees=degrees,
         replica_flat=flat,
         replica_offsets=offsets,
         decode_slots=outcome.decode_slots,
         lost=lost,
-        slot_occupancy=np.bincount(flat, minlength=end_slot),
     )
     _check_postconditions(result)
     return result

@@ -7,6 +7,7 @@ loss is reported separately.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,8 @@ def delay_distribution(r: RunResult, bin_width_ms: float = 1.0) -> DelayDistribu
     """Delay histogram over decoded packets, with bins aligned to multiples
     of the bin width. Returns an explicit empty distribution when nothing
     decoded."""
-    if bin_width_ms <= 0:
-        raise ValueError(f"bin_width_ms must be > 0, got {bin_width_ms}")
+    if not 0 < bin_width_ms < math.inf:
+        raise ValueError(f"bin_width_ms must be > 0 and finite, got {bin_width_ms}")
     delays = _window_delays(r)
     n = len(delays)
     if n == 0:

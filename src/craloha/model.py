@@ -19,7 +19,8 @@ PROB_TOL = 1e-9
 
 
 class ConfigError(ValueError):
-    """A configuration value violates one of its invariants."""
+    """A configuration value violates one of its invariants, or config text
+    fails to parse; messages from config text carry line numbers."""
 
 
 class AccessMode(str, Enum):
@@ -37,10 +38,10 @@ class TimeConfig:
     propagation_delay_ms: float = 250.0
 
     def __post_init__(self) -> None:
-        if not self.slot_duration_ms > 0:
-            raise ConfigError(f"slot_duration_ms must be > 0, got {self.slot_duration_ms}")
-        if self.propagation_delay_ms < 0:
-            raise ConfigError(f"propagation_delay_ms must be >= 0, got {self.propagation_delay_ms}")
+        if not 0 < self.slot_duration_ms < math.inf:
+            raise ConfigError(f"slot_duration_ms must be > 0 and finite, got {self.slot_duration_ms}")
+        if not 0 <= self.propagation_delay_ms < math.inf:
+            raise ConfigError(f"propagation_delay_ms must be >= 0 and finite, got {self.propagation_delay_ms}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,6 @@ class DegreeDistribution:
     @property
     def max_degree(self) -> int:
         return self.entries[-1][0]
-
-    def __str__(self) -> str:
-        return "+".join(f"{p:g}x^{l}" for l, p in self.entries)
 
 
 def mean_degree(d: DegreeDistribution) -> float:

@@ -431,7 +431,7 @@ def test_c09_slot_degree_chi_square():
         mean_arrival_rate=0.5, total_slots=1_000_000, warmup_slots=2000, rng_seed=42
     )
     r = run_simulation(scheme, traffic)
-    occupancy = r.slot_occupancy[200 : traffic.total_slots]
+    occupancy = np.bincount(r.replica_flat, minlength=traffic.total_slots)[200 : traffic.total_slots]
     n = len(occupancy)
     obs = np.bincount(occupancy)
     mean = 3.60 * 0.5

@@ -1,6 +1,4 @@
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -9,16 +7,20 @@ from hypothesis import given, settings, strategies as st
 from craloha import (
     DegreeDistribution,
     SchemeConfig,
-    TimeConfig,
-    delay_bounds,
-    mean_degree,
     named_distribution,
     p_uins_fr,
     p_uins_sw,
     sa_throughput,
-    slot_degree_pmf,
 )
-from craloha.analytics import oracle_decode, p_first, p_i, p_not, p_uins_fr_terms, p_uins_sw_terms
+from craloha.analytics import (
+    delay_support_slots,
+    oracle_decode,
+    p_first,
+    p_i,
+    p_not,
+    p_uins_fr_terms,
+    p_uins_sw_terms,
+)
 
 from conftest import oracle
 
@@ -106,82 +108,23 @@ class TestPUinS:
             p_uins_sw(2, 10, 20)
 
 
-class TestSlotDegreePmf:
-    def test_poisson_limit_mass_at_zero(self):
-        pmf = slot_degree_pmf(named_distribution("crdsa2"), load=1.0)
-        assert pmf[0] == pytest.approx(math.exp(-2), rel=1e-12)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_small_load_concentrates_at_zero(self):
-        pmf = slot_degree_pmf(named_distribution("irsa8"), load=1e-6)
-        assert pmf[0] > 0.999996
-
-    def test_binomial_sums_to_one(self):
-        pmf = slot_degree_pmf(named_distribution("crdsa3"), load=1.0, n_users=500)
-        assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_binomial_converges_to_poisson(self):
-        d = named_distribution("crdsa3")  # mean degree 3
-        binom = slot_degree_pmf(d, load=1.0, n_users=100_000, max_count=80)
-        poisson = slot_degree_pmf(d, load=1.0, max_count=80)
-        tv = 0.5 * np.abs(binom - poisson).sum()
-        assert tv < 1e-3
-
-    def test_overloaded_finite_population_rejected(self):
-        with pytest.raises(ValueError):
-            slot_degree_pmf(named_distribution("irsa8"), load=1.0, n_users=2)
-
-    @pytest.mark.parametrize("dist", ["crdsa2", "irsa8"])
-    @pytest.mark.parametrize("load", [0.05, 0.5, 1.0, 1.6])
-    def test_matches_scipy_stats(self, dist, load):
-        stats = pytest.importorskip("scipy.stats")
-        d = named_distribution(dist)
-        mean = mean_degree(d) * load
-        pmf = slot_degree_pmf(d, load)
-        assert stats.poisson.sf(len(pmf) - 1, mean) < 1e-12
-        _assert_rel_close(pmf, stats.poisson.pmf(np.arange(len(pmf)), mean))
-        for n_users in (10, 500, 100_000):
-            pmf = slot_degree_pmf(d, load, n_users=n_users)
-            assert len(pmf) == n_users + 1
-            _assert_rel_close(pmf, stats.binom.pmf(np.arange(n_users + 1), n_users, mean / n_users))
-
-    def test_binomial_edges(self):
-        # p = 1 puts all mass at n_users; a mass at 0 below the smallest
-        # double cannot seed the running product
-        assert slot_degree_pmf(named_distribution("crdsa2"), load=1.0, n_users=2).tolist() == [0.0, 0.0, 1.0]
-        with pytest.raises(ValueError, match="underflows"):
-            slot_degree_pmf(named_distribution("crdsa2"), load=500.0, n_users=2000)
-
-    def test_package_import_leaves_scipy_unloaded(self):
-        code = "import sys, craloha, craloha.cli; print('scipy' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
-
-
-def _assert_rel_close(ours, ref):
-    """Relative error <= 1e-12 wherever the reference is a normal double."""
-    normal = ref > np.finfo(float).tiny
-    assert np.all(ours[~normal] < 1e-300)
-    assert np.max(np.abs(ours[normal] - ref[normal]) / ref[normal]) <= 1e-12
-
-
 class TestDelayBounds:
     def test_fr(self):
         s = SchemeConfig(mode="FR", window_slots=100, degree_distribution=named_distribution("crdsa2"))
-        assert delay_bounds(s, TimeConfig()) == (251.0, 450.0)
+        assert delay_support_slots(s) == (2, 200)
 
     def test_sw(self):
         s = SchemeConfig(
             mode="SW", window_slots=100, degree_distribution=named_distribution("crdsa2"),
             receiver_memory_slots=500,
         )
-        assert delay_bounds(s, TimeConfig()) == (251.0, 750.0)
+        assert delay_support_slots(s) == (1, 500)
 
     def test_degenerate_frame(self):
         s = SchemeConfig(
             mode="FR", window_slots=1, degree_distribution=DegreeDistribution(((1, 1.0),))
         )
-        assert delay_bounds(s, TimeConfig(slot_duration_ms=1.0, propagation_delay_ms=0.0)) == (1.0, 2.0)
+        assert delay_support_slots(s) == (2, 2)
 
 
 class TestSaThroughput:

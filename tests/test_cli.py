@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from craloha import run_simulation, throughput
+from craloha import ConfigError, run_simulation, throughput
 from craloha.cli import (
     SUMMARY_COLUMNS,
-    SpecError,
     main,
     parse_config,
     run_sweep,
@@ -48,27 +47,27 @@ class TestParseConfig:
         assert spec.scheme.receiver_memory_slots == 200
 
     def test_unknown_key_reports_line(self):
-        with pytest.raises(SpecError, match="line 2: unknown key 'bogus'"):
+        with pytest.raises(ConfigError, match="line 2: unknown key 'bogus'"):
             parse_config("mode=SW\nbogus=1\nwindow=10\nlambda=0.1\ntotal_slots=100\nn_rx=20\n")
 
     def test_missing_required_keys(self):
-        with pytest.raises(SpecError, match="missing required key 'lambda'"):
+        with pytest.raises(ConfigError, match="missing required key 'lambda'"):
             parse_config("mode=SW\nwindow=10\nn_rx=20\ntotal_slots=100\n")
 
     def test_degree_above_window_rejected(self):
-        with pytest.raises(SpecError, match="max degree"):
+        with pytest.raises(ConfigError, match="max degree"):
             parse_config("mode=SW\nwindow=4\nn_rx=8\ndist=irsa8\nlambda=0.1\ntotal_slots=100\n")
 
     def test_sw_without_memory_rejected(self):
-        with pytest.raises(SpecError, match="n_rx"):
+        with pytest.raises(ConfigError, match="n_rx"):
             parse_config("mode=SW\nwindow=10\nlambda=0.1\ntotal_slots=1000\n")
 
     def test_bad_value_reports_line(self):
-        with pytest.raises(SpecError, match="line 3: bad value for 'lambda'"):
+        with pytest.raises(ConfigError, match="line 3: bad value for 'lambda'"):
             parse_config("mode=SW\nwindow=10\nlambda=abc\ntotal_slots=100\nn_rx=20\n")
 
     def test_duplicate_key_rejected(self):
-        with pytest.raises(SpecError, match="duplicate key"):
+        with pytest.raises(ConfigError, match="duplicate key"):
             parse_config("mode=SW\nmode=FR\nwindow=10\nlambda=0.1\ntotal_slots=100\nn_rx=20\n")
 
     def test_lambda_forms(self):
@@ -88,7 +87,7 @@ class TestParseConfig:
         assert spec.scheme.degree_distribution.entries == ((2, 0.5102), (4, 0.4898))
 
     def test_warmup_must_fit(self):
-        with pytest.raises(SpecError, match="warmup"):
+        with pytest.raises(ConfigError, match="warmup"):
             parse_config("mode=SW\nwindow=10\nn_rx=20\nlambda=0.1\ntotal_slots=50\n")
 
 
@@ -159,8 +158,15 @@ class TestFailFast:
             ("lambda=0.1\nseed=18446744073709551615\nreplications=2\n", "seed=18446744073709551616: rng_seed"),
             ("lambda=0.1\nbin_width_ms=0\n", "bin_width_ms must be > 0"),
             ("lambda=nan\n", "lambda=nan seed=0: mean_arrival_rate must be finite"),
+            ("lambda=0.1\nt_p=nan\n", "propagation_delay_ms must be >= 0 and finite, got nan"),
+            ("lambda=0.1\nt_p=inf\n", "propagation_delay_ms must be >= 0 and finite, got inf"),
+            ("lambda=0.1\nt_slot=inf\n", "slot_duration_ms must be > 0 and finite, got inf"),
+            ("lambda=0.1\nbin_width_ms=inf\n", "bin_width_ms must be > 0 and finite, got inf"),
         ],
-        ids=("negative-later-lambda", "seed-overflow", "zero-bin-width", "nan-lambda"),
+        ids=(
+            "negative-later-lambda", "seed-overflow", "zero-bin-width", "nan-lambda",
+            "nan-t_p", "inf-t_p", "inf-t_slot", "inf-bin-width",
+        ),
     )
     def test_bad_point_fails_before_any_run(self, tmp_path, capsys, monkeypatch, lines, message):
         def no_run(*args, **kwargs):
@@ -174,7 +180,7 @@ class TestFailFast:
         assert not list(tmp_path.glob("res*"))
 
     def test_bad_required_value_is_not_also_missing(self):
-        with pytest.raises(SpecError) as info:
+        with pytest.raises(ConfigError) as info:
             parse_config(self.BASE + "lambda=0.5:0.1:0.1\n")
         assert "bad value for 'lambda'" in str(info.value)
         assert "missing" not in str(info.value)
@@ -223,6 +229,11 @@ class TestSweepCommand:
     def test_cli_import_leaves_process_pool_unloaded(self):
         # only a sweep with workers > 1 needs it
         code = "import sys, craloha, craloha.cli; print('concurrent.futures.process' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        code = "import sys, craloha, craloha.cli; print('scipy' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 

@@ -15,7 +15,7 @@ from craloha.model import TrafficConfig
 from conftest import make_scheme, make_traffic
 
 
-def make_result(arrivals, decode_slots, lost, total_slots, warmup=0, degree=1):
+def make_result(arrivals, decode_slots, lost, total_slots, warmup=0):
     """Hand-built RunResult for constructed traces."""
     n = len(arrivals)
     scheme = make_scheme("SW", window=max(total_slots, 2), n_rx=4 * max(total_slots, 2))
@@ -26,14 +26,11 @@ def make_result(arrivals, decode_slots, lost, total_slots, warmup=0, degree=1):
         scheme=scheme,
         traffic=traffic,
         time=TimeConfig(),
-        slots_simulated=total_slots,
         arrival_slots=np.asarray(arrivals, dtype=np.int64),
-        degrees=np.full(n, degree, dtype=np.int64),
         replica_flat=np.asarray(arrivals, dtype=np.int64),
         replica_offsets=np.arange(n + 1, dtype=np.int64),
         decode_slots=np.asarray(decode_slots, dtype=np.int64),
         lost=np.asarray(lost, dtype=bool),
-        slot_occupancy=np.zeros(total_slots, dtype=np.int64),
     )
 
 
@@ -115,8 +112,9 @@ class TestDelayDistribution:
 
     def test_bad_bin_width(self):
         r = make_result([0], [0], [False], total_slots=2)
-        with pytest.raises(ValueError):
-            delay_distribution(r, bin_width_ms=0.0)
+        for width in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                delay_distribution(r, bin_width_ms=width)
 
     def test_quantiles_come_from_observed_delays(self):
         r = make_result([0, 1, 2, 3], [0, 2, 4, 9], [False] * 4, total_slots=12)

@@ -10,8 +10,8 @@ from craloha import (
     TrafficConfig,
     mean_degree,
     named_distribution,
-    sample_degrees,
 )
+from craloha.model import sample_degrees
 
 IRSA4 = ((2, 0.5102), (4, 0.4898))
 IRSA8 = ((2, 0.5), (3, 0.28), (8, 0.22))
@@ -161,6 +161,19 @@ class TestTimeAndTraffic:
             TimeConfig(slot_duration_ms=0.0)
         with pytest.raises(ConfigError):
             TimeConfig(propagation_delay_ms=-1.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        (
+            {"slot_duration_ms": float("inf")},
+            {"propagation_delay_ms": float("nan")},
+            {"propagation_delay_ms": float("inf")},
+        ),
+        ids=("inf-slot", "nan-propagation", "inf-propagation"),
+    )
+    def test_non_finite_time_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="finite"):
+            TimeConfig(**kwargs)
 
     def test_traffic_validation(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,7 @@
 import numpy as np
 
-from craloha import TrafficConfig, generate_arrivals
+from craloha import TrafficConfig
+from craloha.engine import generate_arrivals
 
 
 def _schedule(lam, total, seed):
