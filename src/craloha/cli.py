@@ -18,7 +18,7 @@ Config files are flat key=value text, one key per line, ``#`` comments::
     out=results          # output path prefix
     format=csv           # csv | json | both
     hist=off             # sweep: also write per-run histograms
-    timestamp=on         # header timestamp line (also --no-timestamp)
+    timestamp=on         # header timestamp line
     workers=1            # concurrent runs for sweeps
 
 Subcommands: ``run`` (single point, full histogram), ``sweep`` (lambda sweep
@@ -348,13 +348,12 @@ def _write_hist_csv(path: Path, hist, timestamp: bool) -> None:
             w.writerow([_fmt(float(e)), c, _fmt(float(p)), _fmt(float(f))])
 
 
-def run_sweep(spec: ExperimentSpec, no_timestamp: bool = False) -> list[dict]:
+def run_sweep(spec: ExperimentSpec) -> list[dict]:
     """Run every (lambda, seed) point, aggregate per lambda, write outputs.
 
     Returns the summary rows. Points may run in parallel (workers > 1) and
     are aggregated in deterministic order.
     """
-    timestamp = spec.timestamp and not no_timestamp
     run = partial(_run_point, spec.scheme, spec.time, spec.bin_width_ms)
     jobs = [t for row in spec.traffic for t in row]
     if spec.workers > 1:
@@ -366,11 +365,11 @@ def run_sweep(spec: ExperimentSpec, no_timestamp: bool = False) -> list[dict]:
         points = [run(t) for t in jobs]
     per_lambda = len(spec.traffic[0])
     rows = [_aggregate(spec, points[i : i + per_lambda]) for i in range(0, len(points), per_lambda)]
-    out = _write_summaries(spec, rows, timestamp)
+    out = _write_summaries(spec, rows, spec.timestamp)
     if spec.hist:
         for p in points:
             hist_path = out.with_name(f"{out.name}_hist_l{p['lambda']:g}_s{p['seed']}.csv")
-            _write_hist_csv(hist_path, p["hist"], timestamp)
+            _write_hist_csv(hist_path, p["hist"], spec.timestamp)
     return rows
 
 
@@ -382,11 +381,10 @@ def _cmd_run(args) -> int:
     if len(spec.traffic[0]) != 1:
         print("run executes one replication; ignoring replications>1", file=sys.stderr)
         spec = replace(spec, traffic=((spec.traffic[0][0],),))
-    timestamp = spec.timestamp and not args.no_timestamp
     point = _run_point(spec.scheme, spec.time, spec.bin_width_ms, spec.traffic[0][0], trace_path=args.trace)
     row = _aggregate(spec, [point])
-    out = _write_summaries(spec, [row], timestamp)
-    _write_hist_csv(out.with_name(out.name + "_hist.csv"), point["hist"], timestamp)
+    out = _write_summaries(spec, [row], spec.timestamp)
+    _write_hist_csv(out.with_name(out.name + "_hist.csv"), point["hist"], spec.timestamp)
     print(
         f"lambda={row['lambda']:g} throughput={row['throughput_mean']:.4f} "
         f"loss={row['loss_rate_mean']:.4g} mean_delay={row['delay_mean_ms']:.2f}ms"
@@ -396,7 +394,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = parse_config(Path(args.config).read_text())
-    rows = run_sweep(spec, no_timestamp=args.no_timestamp)
+    rows = run_sweep(spec)
     for row in rows:
         print(
             f"lambda={row['lambda']:g} throughput={row['throughput_mean']:.4f}"
@@ -515,12 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="single simulation with full delay histogram")
     p_run.add_argument("config")
     p_run.add_argument("--trace", default=None, help="write a decode/loss event trace CSV")
-    p_run.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="lambda sweep with replications")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_an = sub.add_parser("analytic", help="placement probability terms and FR/SW equality")

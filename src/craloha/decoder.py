@@ -1,16 +1,15 @@
 """Bounded receiver slot memory and the iterative peeling IC process.
 
-The gateway ingests one slot at a time, keeps the most recent N_rx slots,
-and at each slot end peels: any live slot holding exactly one instance of a
-still-restorable packet resolves that packet, whose replicas are then
-cancelled from every slot, possibly cascading.
+The gateway ingests one slot at a time and at each slot end peels: any
+slot holding exactly one instance of a still-restorable packet resolves
+that packet, whose replicas are then cancelled from every slot, possibly
+cascading.
 
-A packet stays restorable only while its earliest replica slot is at or
-above the live lower bound: ``t - N_rx + 1`` at slot ``t``, or the start of
-the current frame for a frame-scoped (FR) memory. Once it falls below, the
-packet is lost for good, and its remaining instances stay in their slots as
-uncancellable interference. This is what bounds the decode delay by the
-receiver memory span.
+The receiver rule comes in as one deadline per packet: packet ``p``
+resolves at the end of slot ``t`` only while ``t <= last_slots[p]``. Past
+its deadline the packet is lost for good, and its remaining instances stay
+in their slots as uncancellable interference. This is what bounds the
+decode delay by the receiver memory span.
 
 The run is decoded in one call over flat arrays, in the count/XOR
 representation of LT and IBLT peeling decoders: each slot keeps the number
@@ -45,7 +44,6 @@ class PeelOutcome(NamedTuple):
     """Per-packet result of one ``peel`` call, indexed by packet id."""
 
     decode_slots: np.ndarray  # slot at whose end the packet resolved; -1 if not decoded
-    lost_at: np.ndarray  # slot at which an undecoded packet stopped being restorable; -1 otherwise
     order: np.ndarray  # decoded packet ids in resolution order
     clean: np.ndarray  # resolved from a slot that held one instance when ingested
     iteration_cap_hits: int
@@ -54,37 +52,36 @@ class PeelOutcome(NamedTuple):
 def peel(
     replica_flat: np.ndarray,
     replica_offsets: np.ndarray,
+    last_slots: np.ndarray,
     n_slots: int,
-    capacity: int,
-    frame_scoped: bool = False,
     i_max: int = 50,
 ) -> PeelOutcome:
-    """Stream slots ``0 .. n_slots-1`` through a ``capacity``-slot memory.
+    """Stream slots ``0 .. n_slots-1`` through the receiver.
 
     Packet ``p``'s replica slots are ``replica_flat[replica_offsets[p] :
-    replica_offsets[p+1]]``, sorted ascending. A ``frame_scoped`` memory
-    holds the current frame of ``capacity`` slots (FR): a frame's undecoded
-    packets are lost when it closes.
+    replica_offsets[p+1]]``, sorted ascending, and ``p`` resolves at the end
+    of slot ``t`` only while ``t <= last_slots[p]``.
 
     Each slot's peel is a sequence of ascending scans: every decodable
     singleton met resolves its packet, and singletons created behind the
     scan position wait for the next scan. ``i_max`` caps the scans per
-    slot; a cascade the cap cuts off resumes at the next slot unless a
-    frame boundary clears it, and each such cut counts as one cap hit.
-
-    An eviction happens when slot ``t`` is ingested (``lost_at = first
-    replica + capacity``), a frame close at the end of the frame's last
-    slot. A packet still restorable after the last slot keeps ``lost_at``
-    at -1.
+    slot; a cascade the cap cuts off resumes at the next slot, without the
+    packets whose deadline has passed, and each such cut counts as one cap
+    hit.
     """
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     flat_a = np.asarray(replica_flat, dtype=np.int64)
     offsets_a = np.asarray(replica_offsets, dtype=np.int64)
     n = len(offsets_a) - 1
     first_a = flat_a[offsets_a[:-1]]
+    last_a = np.asarray(last_slots, dtype=np.int64)
+    early = np.flatnonzero(last_a < first_a)
+    if len(early):
+        p = int(early[0])
+        raise ValueError(
+            f"packet {p} has last slot {int(last_a[p])} before its first replica slot {int(first_a[p])}"
+        )
     size = max(n_slots, int(flat_a.max()) + 1 if len(flat_a) else 0)
     owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets_a))
     count_a = np.bincount(flat_a, minlength=size)
@@ -102,9 +99,9 @@ def peel(
     flags[:n_slots] = (count_a[:n_slots] == 1).tobytes()
     count = array("q", count_a.tobytes())
     xor = array("q", xor_a.tobytes())
-    first = array("q", first_a.tobytes())
+    last = array("q", last_a.tobytes())
     offsets = array("q", offsets_a.tobytes())
-    del count_a, xor_a
+    del count_a, xor_a, first_a
     flat = flat_a.tolist()
     order: list[int] = []
     met: list[int] = []  # pre-resolved packets ordered by a resumed cascade
@@ -114,18 +111,17 @@ def peel(
     heappop, heappush, heapify, find = heapq.heappop, heapq.heappush, heapq.heapify, flags.find
     t = find(1, 0, n_slots)
     while t >= 0:
-        lo = t - t % capacity if frame_scoped else t - capacity + 1
         pre = -1
         if resume_at == t:
-            queue = [s for s in carried if count[s] == 1 and first[xor[s]] >= lo]
-            born = count[t] == 1 and first[xor[t]] >= lo
+            queue = [s for s in carried if count[s] == 1 and last[xor[s]] >= t]
+            born = count[t] == 1 and last[xor[t]] >= t
             if born:
                 queue.append(t)
             elif count[t] == 0 and decode[xor[t]] == t:
                 pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
                 met.append(pre)
             passes = 0
-        elif count[t] == 1 and first[xor[t]] >= lo:
+        elif count[t] == 1 and last[xor[t]] >= t:
             # a lone singleton on ingestion: the first pass decodes only it
             p = xor[t]
             decode[p] = t
@@ -140,7 +136,7 @@ def peel(
                     continue
                 if r > t:
                     flags[r] = 1  # singleton on ingestion, unless cancelled further
-                elif first[xor[r]] >= lo:
+                elif last[xor[r]] >= t:
                     queue.append(r)  # behind the scan: the next pass
             born, passes = False, 1  # the first pass is done
         else:
@@ -167,7 +163,7 @@ def peel(
                         continue
                     if r > t:
                         flags[r] = 1
-                    elif first[xor[r]] < lo:
+                    elif last[xor[r]] < t:
                         continue  # inert interference, never decodable
                     elif r > s:
                         heappush(queue, r)
@@ -180,8 +176,8 @@ def peel(
         if pre >= 0:
             order.append(pre)  # no first pass ran
         if queue:
-            # resumed at the next slot, where a frame boundary or an eviction
-            # filters out the packets that stopped being restorable
+            # resumed at the next slot, which filters out the packets whose
+            # deadline has passed
             cap_hits += 1
             carried, resume_at = queue, t + 1
             flags[t + 1] = 1
@@ -193,14 +189,8 @@ def peel(
     # each remaining pre-resolved packet is the only decode at its slot
     main = np.array(order, dtype=np.int64)
     order_a = np.insert(main, np.searchsorted(decode_slots[main], decode_slots[pre_ids]), pre_ids)
-    if frame_scoped:
-        lost_at = first_a - first_a % capacity + capacity - 1
-    else:
-        lost_at = first_a + capacity
-    lost_at[(decode_slots >= 0) | (lost_at >= n_slots)] = -1
     return PeelOutcome(
         decode_slots=decode_slots,
-        lost_at=lost_at,
         order=order_a,
         clean=np.frombuffer(clean, dtype=np.uint8).astype(bool),
         iteration_cap_hits=cap_hits,
@@ -234,10 +224,10 @@ def _resolve_first_slots(flat, offsets, first, count, xor, n_slots, decode, clea
         clean[ids] = 1
         count[slots] = 0
         # cancel every later replica of the resolved packets
-        lo = offsets[ids] + 1
-        lengths = offsets[ids + 1] - lo
+        start = offsets[ids] + 1
+        lengths = offsets[ids + 1] - start
         ends = lengths.cumsum()
-        touched = flat[(lo - ends + lengths).repeat(lengths) + np.arange(ends[-1])]
+        touched = flat[(start - ends + lengths).repeat(lengths) + np.arange(ends[-1])]
         np.subtract.at(count, touched, 1)
         np.bitwise_xor.at(xor, touched, ids.repeat(lengths))
         touched = distinct(touched[touched < n_slots])

@@ -16,7 +16,7 @@ import numpy as np
 from .analytics import delay_support_slots
 from .decoder import PeelOutcome, peel
 from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
-from .placement import place_replicas, tx_frame_start
+from .placement import last_decode_slot, place_replicas, tx_frame_start
 
 TRACE_FIELDS = ("slot_index", "packet_id", "event", "cause")
 
@@ -110,19 +110,16 @@ def run_simulation(
 
     fr = scheme.mode is AccessMode.FR
     end_slot = drain_end_slot(scheme, traffic)
-    outcome = peel(
-        flat,
-        offsets,
-        end_slot,
-        scheme.receiver_memory_slots,
-        frame_scoped=fr,
-        i_max=scheme.max_ic_iterations,
-    )
+    last = last_decode_slot(scheme, flat[offsets[:-1]])
+    outcome = peel(flat, offsets, last, end_slot, i_max=scheme.max_ic_iterations)
     # The drain outlasts every packet's restorability, so each undecoded
     # packet has been lost by the last slot; the postconditions check it.
-    lost = outcome.lost_at >= 0
+    lost = outcome.decode_slots < 0
+    # An SW packet is evicted when the slot after its last one is ingested,
+    # an FR packet lost when its frame closes at the end of its last slot.
+    lost_at = np.where(lost, last + (not fr), -1)
     if trace_path is not None:
-        _write_trace(trace_path, flat, offsets, outcome, fr)
+        _write_trace(trace_path, flat, offsets, outcome, lost_at, fr)
 
     result = RunResult(
         scheme=scheme,
@@ -134,7 +131,7 @@ def run_simulation(
         decode_slots=outcome.decode_slots,
         lost=lost,
     )
-    _check_postconditions(result)
+    _check_postconditions(result, lost_at, end_slot)
     return result
 
 
@@ -146,12 +143,12 @@ _TRACE_TAILS = (",loss,-\r\n", ",replica,-\r\n", ",decode,ic\r\n", ",decode,clea
 _TRACE_CHUNK = 8192
 
 
-def _write_trace(path, flat, offsets, outcome: PeelOutcome, fr: bool) -> None:
+def _write_trace(path, flat, offsets, outcome: PeelOutcome, lost_at, fr: bool) -> None:
     """One CSV line per replica ingestion, decode, and loss, grouped by slot:
     evictions, replicas, decodes, then frame-close losses."""
     order = outcome.order
-    lost = np.flatnonzero(outcome.lost_at >= 0)
-    slot = np.concatenate([flat, outcome.decode_slots[order], outcome.lost_at[lost]])
+    lost = np.flatnonzero(lost_at >= 0)
+    slot = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
     pid = np.concatenate([np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), order, lost])
     phase = np.repeat(
         [_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], [len(flat), len(order), len(lost)]
@@ -169,10 +166,10 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, fr: bool) -> None:
             fh.write("".join([f"{s},{p}{_TRACE_TAILS[t]}" for s, p, t in lines]))
 
 
-def _check_postconditions(r: RunResult) -> None:
+def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> None:
     decoded = r.decoded_mask()
-    if not bool(np.all(decoded ^ r.lost)):
-        raise SimulationInvariantError("conservation violated: packet neither decoded nor lost")
+    if bool(np.any(lost_at >= end_slot)):
+        raise SimulationInvariantError("conservation violated: packet restorable past the drain")
     first_replica = r.replica_flat[r.replica_offsets[:-1]][decoded]
     if bool(np.any(r.decode_slots[decoded] < first_replica)):
         raise SimulationInvariantError("decode before first replica slot")

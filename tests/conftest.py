@@ -62,16 +62,30 @@ def _csr(placements):
 
 def feed(placements, capacity, frame_scoped=False, i_max=50, n_slots=None):
     """Decode a ``{packet id: replica slots}`` mapping over slots
-    ``0 .. n_slots-1`` (default: through the last replica slot)."""
+    ``0 .. n_slots-1`` (default: through the last replica slot) with a
+    ``capacity``-slot memory, or ``capacity``-slot frames if
+    ``frame_scoped``. The deadlines and loss slots are worked out here, not
+    by ``placement.last_decode_slot``, so the slot-by-slot reference checks
+    the receiver rule independently."""
     ids, flat, offsets = _csr(placements)
     if n_slots is None:
         n_slots = int(flat.max()) + 1 if len(flat) else 0
-    out = peel(flat, offsets, n_slots, capacity, frame_scoped=frame_scoped, i_max=i_max)
+    first = flat[offsets[:-1]]
+    if frame_scoped:
+        # the frame closes at the end of its last slot
+        last = first - first % capacity + capacity - 1
+        lost_at = last
+    else:
+        # the first replica slot is evicted when slot first + capacity is ingested
+        last = first + capacity - 1
+        lost_at = first + capacity
+    out = peel(flat, offsets, last, n_slots, i_max=i_max)
+    lost = (out.decode_slots < 0) & (lost_at < n_slots)
     return Fed(
         order=[ids[p] for p in out.order],
         decode_slot={ids[p]: int(out.decode_slots[p]) for p in out.order},
         clean={ids[p] for p in np.flatnonzero(out.clean)},
-        lost={ids[p]: int(out.lost_at[p]) for p in np.flatnonzero(out.lost_at >= 0)},
+        lost={ids[p]: int(lost_at[p]) for p in np.flatnonzero(lost)},
         iteration_cap_hits=out.iteration_cap_hits,
     )
 

@@ -365,7 +365,7 @@ def _decode_apart(instances, span, capacity):
             rows.append(sorted(s + i * stride for s in slots))
     offsets = np.cumsum([0] + [len(r) for r in rows])
     flat = np.fromiter((s for r in rows for s in r), dtype=np.int64, count=int(offsets[-1]))
-    out = peel(flat, offsets, stride * len(instances), capacity)
+    out = peel(flat, offsets, flat[offsets[:-1]] + capacity - 1, stride * len(instances))
     assert out.iteration_cap_hits == 0  # each instance's peel ends by its last slot
     decoded = [(set(), set()) for _ in instances]
     for side, mask in enumerate((out.decode_slots >= 0, oracle_decode(flat, offsets))):
@@ -467,11 +467,11 @@ def test_c10_sweep_determinism(tmp_path):
         (tmp_path / "det_summary.csv").read_bytes() == csv_a
         and (tmp_path / "det_summary.json").read_bytes() == json_a
     )
-    # same through the CLI entry point with the suppression flag
+    # same through the CLI entry point
     cfg = tmp_path / "det.conf"
-    cfg.write_text(text.replace("timestamp=off\n", ""))
-    assert cli_main(["sweep", str(cfg), "--no-timestamp"]) == 0
+    cfg.write_text(text)
+    assert cli_main(["sweep", str(cfg)]) == 0
     csv_b = (tmp_path / "det_summary.csv").read_bytes()
-    assert cli_main(["sweep", str(cfg), "--no-timestamp"]) == 0
+    assert cli_main(["sweep", str(cfg)]) == 0
     ok = ok and (tmp_path / "det_summary.csv").read_bytes() == csv_b
     assert _report("10 sweep determinism", ok, "summary CSV and JSON byte-identical on rerun")

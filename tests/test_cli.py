@@ -102,9 +102,9 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path,
             "mode=SW\nwindow=20\nn_rx=100\ndist=crdsa2\nlambda=0.4\n"
-            f"total_slots=5000\nwarmup=200\nseed=3\nout={tmp_path}/res\nformat=both\n",
+            f"total_slots=5000\nwarmup=200\nseed=3\nout={tmp_path}/res\nformat=both\ntimestamp=off\n",
         )
-        assert main(["run", str(cfg), "--no-timestamp"]) == 0
+        assert main(["run", str(cfg)]) == 0
         with open(tmp_path / "res_summary.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert list(rows[0]) == list(SUMMARY_COLUMNS)
@@ -123,9 +123,9 @@ class TestRunCommand:
         cfg = write_config(
             tmp_path,
             "mode=SW\nwindow=20\nn_rx=100\nlambda=0.4\ntotal_slots=3000\nwarmup=200\nseed=3\n"
-            f"replications=2\nout={tmp_path}/res\nformat=json\n",
+            f"replications=2\nout={tmp_path}/res\nformat=json\ntimestamp=off\n",
         )
-        assert main(["run", str(cfg), "--no-timestamp"]) == 0
+        assert main(["run", str(cfg)]) == 0
         assert "ignoring replications>1" in capsys.readouterr().err
         payload = json.loads((tmp_path / "res_summary.json").read_text())
         assert payload["config"]["replications"] == 1 == payload["rows"][0]["seeds"]
@@ -284,7 +284,7 @@ class TestOracleCommand:
             "mode=SW\nwindow=10\nn_rx=4000\nlambda=0.5\ntotal_slots=3000\n"
             f"warmup=100\nseed=4\nout={tmp_path}/o\ntimestamp=off\n",
         )
-        assert main(["run", str(cfg), "--trace", str(tmp_path / "t.csv"), "--no-timestamp"]) == 0
+        assert main(["run", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 0
         assert main(["oracle", str(tmp_path / "t.csv")]) == 0
         assert "MATCH" in capsys.readouterr().out
 
@@ -295,7 +295,7 @@ class TestOracleCommand:
             "mode=SW\nwindow=50\nn_rx=50\nlambda=0.7\ntotal_slots=20000\n"
             f"warmup=100\nseed=4\nout={tmp_path}/o2\ntimestamp=off\n",
         )
-        assert main(["run", str(cfg), "--trace", str(tmp_path / "t2.csv"), "--no-timestamp"]) == 0
+        assert main(["run", str(cfg), "--trace", str(tmp_path / "t2.csv")]) == 0
         assert main(["oracle", str(tmp_path / "t2.csv")]) == 1
         assert "oracle-only" in capsys.readouterr().out
 

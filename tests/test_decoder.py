@@ -52,13 +52,13 @@ class TestIngest:
         assert 10 in fed.lost and 20 in fed.lost
         assert set(fed.lost) == {10, 1, 2, 20, 3, 4}
 
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError, match="capacity"):
-            peel(np.array([0]), np.array([0, 1]), 1, 0)
+    def test_last_slot_before_first_replica_rejected(self):
+        with pytest.raises(ValueError, match="before its first replica slot"):
+            peel(np.array([0, 3, 5]), np.array([0, 1, 3]), np.array([0, 2]), 6)
 
     def test_iteration_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="i_max"):
-            peel(np.array([0]), np.array([0, 1]), 1, 1, i_max=0)
+            peel(np.array([0]), np.array([0, 1]), np.array([0]), 1, i_max=0)
 
 
 class TestPeel:

@@ -4,6 +4,8 @@ import hashlib
 import numpy as np
 import pytest
 
+import craloha.engine
+
 from craloha import (
     DegreeDistribution,
     RunResult,
@@ -13,7 +15,7 @@ from craloha import (
     run_simulation,
     throughput,
 )
-from craloha.engine import drain_end_slot
+from craloha.engine import SimulationInvariantError, drain_end_slot
 
 from conftest import make_scheme, make_traffic
 
@@ -135,6 +137,42 @@ class TestConservation:
         scheme = make_scheme("FR", window=100, n_rx=None)
         traffic = make_traffic(lam=0.5, total=2_000, warmup=100, window=100)
         assert drain_end_slot(scheme, traffic) == 2_100
+
+
+class TestPostconditions:
+    """Each postcondition fires on a run that breaks it."""
+
+    @pytest.fixture(params=[("SW", 150), ("FR", None)], ids=["SW", "FR"])
+    def point(self, request):
+        mode, n_rx = request.param
+        scheme = make_scheme(mode, window=50, dist="crdsa2", n_rx=n_rx)
+        return scheme, make_traffic(lam=0.5, total=5_000, window=50)
+
+    @staticmethod
+    def _shift_decodes(monkeypatch, shift):
+        peel = craloha.engine.peel
+
+        def shifted(*args, **kwargs):
+            out = peel(*args, **kwargs)
+            d = out.decode_slots
+            return out._replace(decode_slots=np.where(d >= 0, d + shift, d))
+
+        monkeypatch.setattr(craloha.engine, "peel", shifted)
+
+    def test_drain_too_short(self, point, monkeypatch):
+        monkeypatch.setattr(craloha.engine, "drain_end_slot", lambda _, traffic: traffic.total_slots)
+        with pytest.raises(SimulationInvariantError, match="conservation violated"):
+            run_simulation(*point)
+
+    def test_decode_before_first_replica(self, point, monkeypatch):
+        self._shift_decodes(monkeypatch, -1)
+        with pytest.raises(SimulationInvariantError, match="decode before first replica slot"):
+            run_simulation(*point)
+
+    def test_decode_past_delay_support(self, point, monkeypatch):
+        self._shift_decodes(monkeypatch, 400)
+        with pytest.raises(SimulationInvariantError, match="delay support violated"):
+            run_simulation(*point)
 
 
 class TestDelaySupport:

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from craloha import DegreeDistribution
-from craloha.placement import place_replicas, tx_frame_start
+from craloha.placement import last_decode_slot, place_replicas, tx_frame_start
 
 from conftest import make_scheme
 
@@ -36,6 +36,22 @@ class TestFrameGrid:
         assert tx_frame_start(99, 100) == 100
         assert tx_frame_start(100, 100) == 200
         assert tx_frame_start(0, 100) == 100
+
+
+class TestLastDecodeSlot:
+    def test_fr_frame_last_slot(self):
+        scheme = make_scheme("FR", window=100)
+        assert last_decode_slot(scheme, 100) == last_decode_slot(scheme, 199) == 199
+        assert last_decode_slot(scheme, 200) == 299
+
+    def test_sw_memory_span(self):
+        assert last_decode_slot(make_scheme("SW", window=100, n_rx=500), 7) == 506
+
+    def test_elementwise(self):
+        fr, sw = make_scheme("FR", window=100), make_scheme("SW", window=100, n_rx=500)
+        first = np.array([100, 199, 200, 7])
+        assert last_decode_slot(fr, first).tolist() == [199, 199, 299, 99]
+        assert last_decode_slot(sw, first).tolist() == [599, 698, 699, 506]
 
 
 class TestPlaceFr:
