@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import statistics
@@ -288,14 +287,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_summary_csv(path: Path, rows: list[dict], timestamp: bool) -> None:
+def _write_csv(path: Path, columns, rows, timestamp: bool) -> None:
     with open(path, "w", newline="") as fh:
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
         w = csv.writer(fh)
-        w.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            w.writerow([_fmt(row[c]) for c in SUMMARY_COLUMNS])
+        w.writerow(columns)
+        w.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def _write_summary_json(path: Path, spec: ExperimentSpec, rows: list[dict], timestamp: bool) -> None:
@@ -331,21 +329,11 @@ def _write_summaries(spec: ExperimentSpec, rows: list[dict], timestamp: bool) ->
     out = Path(spec.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if spec.format in ("csv", "both"):
-        _write_summary_csv(out.with_name(out.name + "_summary.csv"), rows, timestamp)
+        table = ([row[c] for c in SUMMARY_COLUMNS] for row in rows)
+        _write_csv(out.with_name(out.name + "_summary.csv"), SUMMARY_COLUMNS, table, timestamp)
     if spec.format in ("json", "both"):
         _write_summary_json(out.with_name(out.name + "_summary.json"), spec, rows, timestamp)
     return out
-
-
-def _write_hist_csv(path: Path, hist, timestamp: bool) -> None:
-    edges, counts, pdf, cdf = hist
-    with open(path, "w", newline="") as fh:
-        if timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-        w = csv.writer(fh)
-        w.writerow(HIST_COLUMNS)
-        for e, c, p, f in zip(edges, counts, pdf, cdf):
-            w.writerow([_fmt(float(e)), c, _fmt(float(p)), _fmt(float(f))])
 
 
 def run_sweep(spec: ExperimentSpec) -> list[dict]:
@@ -369,7 +357,7 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     if spec.hist:
         for p in points:
             hist_path = out.with_name(f"{out.name}_hist_l{p['lambda']:g}_s{p['seed']}.csv")
-            _write_hist_csv(hist_path, p["hist"], spec.timestamp)
+            _write_csv(hist_path, HIST_COLUMNS, zip(*p["hist"]), spec.timestamp)
     return rows
 
 
@@ -384,7 +372,7 @@ def _cmd_run(args) -> int:
     point = _run_point(spec.scheme, spec.time, spec.bin_width_ms, spec.traffic[0][0], trace_path=args.trace)
     row = _aggregate(spec, [point])
     out = _write_summaries(spec, [row], spec.timestamp)
-    _write_hist_csv(out.with_name(out.name + "_hist.csv"), point["hist"], spec.timestamp)
+    _write_csv(out.with_name(out.name + "_hist.csv"), HIST_COLUMNS, zip(*point["hist"]), spec.timestamp)
     print(
         f"lambda={row['lambda']:g} throughput={row['throughput_mean']:.4f} "
         f"loss={row['loss_rate_mean']:.4g} mean_delay={row['delay_mean_ms']:.2f}ms"
@@ -435,17 +423,28 @@ class TraceError(ValueError):
 _TRACE_DTYPE = np.dtype([("slot", np.int64), ("pid", np.int64), ("event", "U8"), ("cause", "U1")])
 
 
-def _scan_trace(body: str, first_line: int) -> np.ndarray:
-    """Row-by-row parse of a trace body that follows line ``first_line``;
-    raises TraceError naming the first bad line."""
+def _scan_trace(path) -> np.ndarray:
+    """Row-by-row parse of the trace at ``path``, past its header; raises
+    TraceError naming the first bad line."""
     rows = []
-    reader = csv.reader(io.StringIO(body, newline=""))
-    try:
-        for slot, pid, event, _cause in reader:
-            rows.append((np.int64(int(slot)), np.int64(int(pid)), event, ""))
-    except (ValueError, OverflowError) as exc:
-        raise TraceError(f"malformed trace line {first_line + reader.line_num}: {exc}") from None
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        try:
+            for slot, pid, event, _cause in reader:
+                rows.append((np.int64(int(slot)), np.int64(int(pid)), event, ""))
+        except (ValueError, OverflowError) as exc:
+            raise TraceError(f"malformed trace line {reader.line_num}: {exc}") from None
     return np.array(rows, dtype=_TRACE_DTYPE)
+
+
+def _body_lines(fh):
+    """The lines of an open file; raises ValueError at a blank one, which
+    ``np.loadtxt`` would skip."""
+    for line in fh:
+        if line[0] in "\r\n":
+            raise ValueError("blank line")
+        yield line
 
 
 def _read_trace(path) -> np.ndarray:
@@ -455,23 +454,18 @@ def _read_trace(path) -> np.ndarray:
         header = next(reader, None)
         if header != list(TRACE_FIELDS):
             raise TraceError(f"unexpected trace columns {header}")
-        first_line, body = reader.line_num, fh.read()
-    if not body:
-        return np.zeros(0, dtype=_TRACE_DTYPE)
-    try:
-        # One C-level parse. It skips blank lines (warning when nothing
-        # else is left), so a short count sends the body to the row-by-row
-        # scan, which names the bad line.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(
-                io.StringIO(body), dtype=_TRACE_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
-            )
-        if len(rows) == body.count("\n") + (not body.endswith("\n")):
-            return rows
-    except ValueError:
-        pass
-    return _scan_trace(body, first_line)
+        try:
+            # One C-level parse of the streamed lines (warning when there
+            # are none); a bad field or a blank line sends the file to the
+            # row-by-row scan, which names its line.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return np.loadtxt(
+                    _body_lines(fh), dtype=_TRACE_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
+                )
+        except ValueError:
+            pass
+    return _scan_trace(path)
 
 
 def _cmd_oracle(args) -> int:

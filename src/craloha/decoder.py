@@ -28,7 +28,9 @@ slot. It is the only decode there, or the last decode of the first scan
 when a cut-off cascade resumes there. The remaining slots are visited by a
 forward scan over one flag per slot; every flag is raised ahead of the scan
 position, by a cancellation that leaves a later slot with one instance or
-by a cut-off cascade resuming at the next slot.
+by a cut-off cascade resuming at the next slot. Each visited slot runs one
+loop body, whose first scan holds the candidates of a cascade resuming there
+and the slot itself if it is a decodable singleton.
 """
 
 from __future__ import annotations
@@ -62,12 +64,13 @@ def peel(
     replica_offsets[p+1]]``, sorted ascending, and ``p`` resolves at the end
     of slot ``t`` only while ``t <= last_slots[p]``.
 
-    Each slot's peel is a sequence of ascending scans: every decodable
-    singleton met resolves its packet, and singletons created behind the
-    scan position wait for the next scan. ``i_max`` caps the scans per
-    slot; a cascade the cap cuts off resumes at the next slot, without the
-    packets whose deadline has passed, and each such cut counts as one cap
-    hit.
+    Each slot's peel is a sequence of ascending scans, the first over the
+    candidates of a cascade resuming at the slot and the slot itself: every
+    decodable singleton met resolves its packet, and singletons created
+    behind the scan position wait for the next scan. ``i_max`` caps the
+    scans per slot; a cascade the cap cuts off resumes at the next slot,
+    without the packets whose deadline has passed, and each such cut counts
+    as one cap hit.
     """
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
@@ -92,12 +95,14 @@ def peel(
     clean = bytearray(n)
     pre_ids = _resolve_first_slots(flat_a, offsets_a, first_a, count_a, xor_a, n_slots, decode, clean)
 
-    # Python-level buffers for the loop: int64 arrays, a flag per slot that
-    # is to be visited, and a list for flat, whose per-packet slices iterate
-    # fastest. Flags are only ever raised ahead of the scan position.
+    # Python-level buffers for the loop: a flag per slot that is to be
+    # visited, raised only ahead of the scan position, and lists for flat,
+    # whose per-packet slices iterate fastest, and count, whose small values
+    # are cached ints. Ids and slots would be 28-byte ints in a list, so xor,
+    # last and offsets stay int64 arrays, which keeps the peak memory down.
     flags = bytearray(size + 1)
     flags[:n_slots] = (count_a[:n_slots] == 1).tobytes()
-    count = array("q", count_a.tobytes())
+    count = count_a.tolist()
     xor = array("q", xor_a.tobytes())
     last = array("q", last_a.tobytes())
     offsets = array("q", offsets_a.tobytes())
@@ -111,37 +116,16 @@ def peel(
     heappop, heappush, heapify, find = heapq.heappop, heapq.heappush, heapq.heapify, flags.find
     t = find(1, 0, n_slots)
     while t >= 0:
+        # the first pass: a resumed cascade's candidates, then a born singleton
+        queue = [s for s in carried if count[s] == 1 and last[xor[s]] >= t] if resume_at == t else []
+        born = count[t] == 1 and last[xor[t]] >= t
         pre = -1
-        if resume_at == t:
-            queue = [s for s in carried if count[s] == 1 and last[xor[s]] >= t]
-            born = count[t] == 1 and last[xor[t]] >= t
-            if born:
-                queue.append(t)
-            elif count[t] == 0 and decode[xor[t]] == t:
-                pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
-                met.append(pre)
-            passes = 0
-        elif count[t] == 1 and last[xor[t]] >= t:
-            # a lone singleton on ingestion: the first pass decodes only it
-            p = xor[t]
-            decode[p] = t
-            order.append(p)
-            clean[p] = 1
-            queue = []
-            for r in flat[offsets[p] : offsets[p + 1]]:
-                c = count[r] - 1
-                count[r] = c
-                xor[r] ^= p
-                if c != 1:
-                    continue
-                if r > t:
-                    flags[r] = 1  # singleton on ingestion, unless cancelled further
-                elif last[xor[r]] >= t:
-                    queue.append(r)  # behind the scan: the next pass
-            born, passes = False, 1  # the first pass is done
-        else:
-            t = find(1, t + 1, n_slots)
-            continue
+        if born:
+            queue.append(t)
+        elif resume_at == t and count[t] == 0 and decode[xor[t]] == t:
+            pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
+            met.append(pre)
+        passes = 0
         while queue and passes < i_max:
             passes += 1
             heapify(queue)
@@ -162,13 +146,13 @@ def peel(
                     if c != 1:
                         continue
                     if r > t:
-                        flags[r] = 1
+                        flags[r] = 1  # singleton on ingestion, unless cancelled further
                     elif last[xor[r]] < t:
                         continue  # inert interference, never decodable
                     elif r > s:
                         heappush(queue, r)
                     else:
-                        carry.append(r)
+                        carry.append(r)  # behind the scan: the next pass
             if pre >= 0:
                 order.append(pre)
                 pre = -1

@@ -338,6 +338,17 @@ class TestOracleCommand:
         sparse = [header] + [",".join([f[0], str(10**6 - 7 * int(f[1]))] + f[2:]) for f in fields]
         assert self.oracle(tmp_path, capsys, sparse)[:2] == (0, expect)
 
+    def test_header_only_trace_matches(self, tmp_path, capsys):
+        code, out, _ = self.oracle(tmp_path, capsys, ["slot_index,packet_id,event,cause"])
+        assert code == 0
+        assert out.startswith("packets=0 decoder_decoded=0 oracle_decoded=0\nMATCH")
+
+    def test_trailing_blank_crlf_line_is_named(self, tmp_path, capsys):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"slot_index,packet_id,event,cause\r\n0,0,replica,-\r\n0,0,decode,clean\r\n\r\n")
+        assert main(["oracle", str(path)]) == 2
+        assert "line 4:" in capsys.readouterr().err
+
     def test_event_names_compared_exactly(self, tmp_path, capsys):
         lines = ["slot_index,packet_id,event,cause", "0,0,replica,-", "0,0,decode,clean", "1,1,replicaX,-"]
         code, out, _ = self.oracle(tmp_path, capsys, lines)

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from craloha.decoder import peel
+from craloha.engine import generate_arrivals
+from craloha.model import sample_degrees
+from craloha.placement import place_replicas
 
-from conftest import feed, oracle
+from conftest import feed, make_scheme, make_traffic, oracle
 
 
 class TestIngest:
@@ -231,6 +234,32 @@ class TestAgainstSlotBySlotReference:
         n_slots = 20
         fed = feed(placements, capacity, frame_scoped=frame_scoped, i_max=i_max, n_slots=n_slots)
         ref = _slot_by_slot(placements, capacity, frame_scoped, i_max, n_slots)
+        assert (fed.decode_slot, fed.clean, fed.lost, fed.iteration_cap_hits, fed.order) == ref
+
+    @pytest.mark.parametrize(
+        "mode, window, n_rx, dist, lam, i_max",
+        [
+            ("SW", 50, 150, "irsa8", 0.8, 1),
+            ("SW", 50, 150, "irsa8", 0.8, 2),
+            ("FR", 50, None, "irsa8", 0.8, 2),
+            ("FR", 50, None, "crdsa2", 0.6, 1),
+            ("SW", 20, 40, "crdsa3", 0.7, 1),
+        ],
+    )
+    def test_whole_run_under_binding_cap(self, mode, window, n_rx, dist, lam, i_max):
+        # real placements over 3k slots, where the cap cuts hundreds of
+        # cascades: far past the few packets the random instances hold
+        scheme = make_scheme(mode, window, dist, n_rx, i_max)
+        traffic = make_traffic(lam, total=3000, seed=3, window=window)
+        rng = np.random.default_rng(traffic.rng_seed)
+        arrivals = generate_arrivals(traffic, rng)
+        degrees = sample_degrees(scheme.degree_distribution, rng, int(arrivals.sum()))
+        flat, offsets = place_replicas(scheme, np.repeat(np.arange(3000), arrivals), degrees, rng)
+        placements = {p: tuple(flat[offsets[p] : offsets[p + 1]].tolist()) for p in range(len(offsets) - 1)}
+        capacity = n_rx or window
+        fed = feed(placements, capacity, frame_scoped=mode == "FR", i_max=i_max, n_slots=3000 + capacity)
+        ref = _slot_by_slot(placements, capacity, mode == "FR", i_max, 3000 + capacity)
+        assert fed.iteration_cap_hits > 0
         assert (fed.decode_slot, fed.clean, fed.lost, fed.iteration_cap_hits, fed.order) == ref
 
 
