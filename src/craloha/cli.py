@@ -438,33 +438,41 @@ def _scan_trace(path) -> np.ndarray:
     return np.array(rows, dtype=_TRACE_DTYPE)
 
 
-def _body_lines(fh):
-    """The lines of an open file; raises ValueError at a blank one, which
-    ``np.loadtxt`` would skip."""
-    for line in fh:
-        if line[0] in "\r\n":
-            raise ValueError("blank line")
-        yield line
+def _line_count(path) -> int:
+    """Lines in the file at ``path``, split as ``np.loadtxt`` splits them
+    (at CRLF, LF or a lone CR), counted in 1 MB binary chunks."""
+    lines, prev = 0, 10
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            b = np.frombuffer(chunk, dtype=np.uint8)
+            lf, cr = b == 10, b == 13
+            # a CRLF is one break, also when split across two chunks
+            crlf = np.count_nonzero(cr[:-1] & lf[1:]) + (prev == 13 and lf[0])
+            lines += np.count_nonzero(lf) + np.count_nonzero(cr) - crlf
+            prev = chunk[-1]
+    return lines + (prev not in (10, 13))
 
 
 def _read_trace(path) -> np.ndarray:
     """The rows of a trace CSV, as a ``_TRACE_DTYPE`` record array."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(TRACE_FIELDS):
-            raise TraceError(f"unexpected trace columns {header}")
-        try:
-            # One C-level parse of the streamed lines (warning when there
-            # are none); a bad field or a blank line sends the file to the
-            # row-by-row scan, which names its line.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                return np.loadtxt(
-                    _body_lines(fh), dtype=_TRACE_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1
-                )
-        except ValueError:
-            pass
+        header = next(csv.reader(fh), None)
+    if header != list(TRACE_FIELDS):
+        raise TraceError(f"unexpected trace columns {header}")
+    try:
+        # One C-level parse past the header (warning when the body is empty).
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(
+                path, dtype=_TRACE_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1, skiprows=1
+            )
+    except ValueError:
+        rows = None
+    # loadtxt skips blank lines silently, so a row count short of the body's
+    # lines, like a bad field, sends the file to the row-by-row scan, which
+    # names the bad line.
+    if rows is not None and len(rows) == _line_count(path) - 1:
+        return rows
     return _scan_trace(path)
 
 

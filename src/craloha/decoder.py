@@ -95,20 +95,18 @@ def peel(
     clean = bytearray(n)
     pre_ids = _resolve_first_slots(flat_a, offsets_a, first_a, count_a, xor_a, n_slots, decode, clean)
 
-    # Python-level buffers for the loop: a flag per slot that is to be
-    # visited, raised only ahead of the scan position, and lists for flat,
-    # whose per-packet slices iterate fastest, and count, whose small values
-    # are cached ints. Ids and slots would be 28-byte ints in a list, so xor,
-    # last and offsets stay int64 arrays, which keeps the peak memory down.
+    # Buffers for the loop: a flag per slot that is to be visited, raised
+    # only ahead of the scan position, and a list for count, whose small
+    # values are cached ints. Flat, offsets, last and xor are used in place
+    # through memoryviews of the int64 arrays: a list would hold a 32-byte
+    # int per id or slot, and its conversion cost more than its faster item
+    # reads saved.
     flags = bytearray(size + 1)
     flags[:n_slots] = (count_a[:n_slots] == 1).tobytes()
     count = count_a.tolist()
-    xor = array("q", xor_a.tobytes())
-    last = array("q", last_a.tobytes())
-    offsets = array("q", offsets_a.tobytes())
-    del count_a, xor_a, first_a
-    flat = flat_a.tolist()
-    order: list[int] = []
+    del count_a, first_a
+    flat, offsets, last, xor = map(memoryview, (flat_a, offsets_a, last_a, xor_a))
+    order = array("q")
     met: list[int] = []  # pre-resolved packets ordered by a resumed cascade
     carried: list[int] = []  # cap-cut candidates, resumed at slot resume_at
     resume_at = -1
@@ -167,16 +165,16 @@ def peel(
             flags[t + 1] = 1
         t = find(1, t + 1, n_slots)
 
-    decode_slots = np.array(decode, dtype=np.int64)
+    decode_slots = np.frombuffer(decode, dtype=np.int64)
     if met:
         pre_ids = pre_ids[~np.isin(pre_ids, met)]
     # each remaining pre-resolved packet is the only decode at its slot
-    main = np.array(order, dtype=np.int64)
+    main = np.frombuffer(order, dtype=np.int64)
     order_a = np.insert(main, np.searchsorted(decode_slots[main], decode_slots[pre_ids]), pre_ids)
     return PeelOutcome(
         decode_slots=decode_slots,
         order=order_a,
-        clean=np.frombuffer(clean, dtype=np.uint8).astype(bool),
+        clean=np.frombuffer(clean, dtype=bool),
         iteration_cap_hits=cap_hits,
     )
 

@@ -107,6 +107,7 @@ def run_simulation(
     degrees = sample_degrees(scheme.degree_distribution, rng, n_packets)
     arrival_slots = np.repeat(np.arange(traffic.total_slots, dtype=np.int64), arrivals)
     flat, offsets = place_replicas(scheme, arrival_slots, degrees, rng)
+    del arrivals, degrees  # unused from here on; freed before the peel's peak
 
     fr = scheme.mode is AccessMode.FR
     end_slot = drain_end_slot(scheme, traffic)

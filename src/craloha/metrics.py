@@ -59,7 +59,7 @@ def loss_rate(r: RunResult) -> float:
     arrived = int(np.count_nonzero(mask))
     if arrived == 0:
         return 0.0
-    return int(np.count_nonzero(mask & r.lost)) / arrived
+    return int(np.count_nonzero(mask & ~r.decoded_mask())) / arrived
 
 
 def delay_distribution(r: RunResult, bin_width_ms: float = 1.0) -> DelayDistribution:

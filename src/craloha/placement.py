@@ -65,35 +65,65 @@ def place_replicas(
     # FR draws every offset from [0, N_f) after the frame start; SW keeps
     # offset 0 (the ready slot) and draws the rest from [1, N_sw).
     low = 0 if fr else 1
-    vals = np.zeros(int(offsets[-1]), dtype=np.int64)
-    drawn = np.ones(len(vals), dtype=bool)
-    if not fr:
-        drawn[offsets[:-1]] = False
-    if drawn.any():
+    k = degrees - low
+    if k.any():
         wide = 3 * scheme.degree_distribution.max_degree < n_window - low
-        vals[drawn] = (_sample_wide if wide else _sample_narrow)(degrees - low, low, n_window, rng)
-    base = tx_frame_start(arrival_slots, n_window) if fr else arrival_slots
-    return vals + np.repeat(base, degrees), offsets
+        vals = (_sample_wide if wide else _sample_narrow)(k, low, n_window, rng)
+    else:
+        vals = np.zeros(0, dtype=np.int64)
+    if not fr:
+        # each SW row starts with offset 0; allocated after the draw, so
+        # that the two do not peak together
+        drawn = np.ones(int(offsets[-1]), dtype=bool)
+        drawn[offsets[:-1]] = False
+        placed = np.zeros(len(drawn), dtype=np.int64)
+        placed[drawn] = vals
+        vals = placed
+    vals += np.repeat(tx_frame_start(arrival_slots, n_window) if fr else arrival_slots, degrees)
+    return vals, offsets
 
 
 def _sample_wide(k, low, n, rng) -> np.ndarray:
     """Row ``p`` draws ``k[p]`` distinct values from [low, n), rows
     concatenated, each sorted: one pool draw, then a redraw, in row order,
-    of only the rows that came out with a duplicate."""
+    of only the rows that came out with a duplicate.
+
+    A row redraws as many values as it lacks distinct ones, round after
+    round, until it has ``k[p]``. The rows take their redraws in order from
+    one batched buffer, and the generator is then set to where it would be
+    after only the values they took: ``rng.integers`` draws split across
+    calls equal one batched draw and leave the same state, so the values
+    and the final state are those of one call per round."""
     koff = np.zeros(len(k) + 1, dtype=np.int64)
     np.cumsum(k, out=koff[1:])
-    vals = rng.integers(low, n, size=int(koff[-1]))
     # One sort of row * n + value sorts every row; equal neighbours are duplicates.
-    key = np.repeat(np.arange(len(k), dtype=np.int64) * n, k) + vals
+    key = np.repeat(np.arange(len(k), dtype=np.int64) * n, k)
+    key += rng.integers(low, n, size=int(koff[-1]))
     key.sort()
     dup_rows = np.unique(key[1:][key[1:] == key[:-1]] // n)
-    vals = key % n
-    for p in dup_rows.tolist():
-        lo, hi = int(koff[p]), int(koff[p + 1])
-        picked = set(vals[lo:hi].tolist())
-        while len(picked) < hi - lo:
-            picked.update(rng.integers(low, n, size=hi - lo - len(picked)).tolist())
-        vals[lo:hi] = sorted(picked)
+    vals = np.remainder(key, n, out=key)
+    if not len(dup_rows):
+        return vals
+    # the duplicate rows' positions in vals, row after row
+    sizes = k[dup_rows]
+    ends = np.cumsum(sizes)
+    pos = np.arange(ends[-1]) + np.repeat(koff[dup_rows] - ends + sizes, sizes)
+    dup_vals = vals[pos].tolist()
+    rows = [set(dup_vals[lo:hi]) for lo, hi in zip((ends - sizes).tolist(), ends.tolist())]
+    batch = len(pos) - sum(map(len, rows))  # what the first round lacks
+    state = rng.bit_generator.state
+    pool: list[int] = []
+    used = 0
+    for picked, size in zip(rows, sizes.tolist()):
+        while len(picked) < size:
+            need = size - len(picked)
+            if used + need > len(pool):
+                pool += rng.integers(low, n, size=batch + need).tolist()
+            picked.update(pool[used : used + need])
+            used += need
+    rng.bit_generator.state = state
+    rng.integers(low, n, size=used)
+    vals[pos] = [v for picked in rows for v in sorted(picked)]
     return vals
 
 
@@ -107,4 +137,4 @@ def _sample_narrow(k, low, n, rng) -> np.ndarray:
     # Entries past a row's k become n, which sorts last and is dropped.
     picks[np.arange(kmax) >= k[:, None]] = n
     picks.sort(axis=1)
-    return picks[picks < n]
+    return picks[picks < n].astype(np.int64)

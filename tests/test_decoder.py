@@ -64,6 +64,31 @@ class TestIngest:
             peel(np.array([0]), np.array([0, 1]), np.array([0]), 1, i_max=0)
 
 
+class TestBuffers:
+    def test_zero_packets(self):
+        out = peel(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64), 5)
+        assert out.decode_slots.dtype == np.int64 and len(out.decode_slots) == 0
+        assert out.order.dtype == np.int64 and len(out.order) == 0
+        assert out.clean.dtype == bool and len(out.clean) == 0
+        assert out.iteration_cap_hits == 0
+
+    def test_read_only_inputs_decode_unchanged(self):
+        scheme = make_scheme("SW", window=50, dist="irsa8", n_rx=150, i_max=2)
+        rng = np.random.default_rng(8)
+        arrivals = np.repeat(np.arange(3_000), generate_arrivals(make_traffic(lam=0.8, total=3_000), rng))
+        flat, offsets = place_replicas(scheme, arrivals, sample_degrees(scheme.degree_distribution, rng, len(arrivals)), rng)
+        last = flat[offsets[:-1]] + 149
+        ref = peel(flat.copy(), offsets.copy(), last.copy(), 3_150, i_max=2)
+        before = [a.tobytes() for a in (flat, offsets, last)]
+        for a in (flat, offsets, last):
+            a.setflags(write=False)
+        out = peel(flat, offsets, last, 3_150, i_max=2)
+        assert [a.tobytes() for a in (flat, offsets, last)] == before
+        for got, want in zip(out[:3], ref[:3]):
+            assert np.array_equal(got, want)
+        assert out.iteration_cap_hits == ref.iteration_cap_hits > 0
+
+
 class TestPeel:
     def test_waterfall_cascade_order(self):
         # users 1-3 fully collided; user 4 has the only clean instance; the

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,24 @@ class TestZeroTraffic:
         assert r.n_packets == 0
         assert throughput(r) == 0.0
         assert loss_rate(r) == 0.0
+
+
+class TestPeakMemory:
+    @pytest.mark.parametrize("mode,n_rx", [("SW", 500), ("FR", None)])
+    def test_peak_bytes_per_replica(self, mode, n_rx):
+        # Placement and peeling work in the run's int64 arrays; a Python int
+        # per replica (a list of ids or slots) alone would cost 40 B. The
+        # count is deterministic: about 32 B (SW) and 39 B (FR) per replica.
+        scheme = make_scheme(mode, window=100, dist="irsa8", n_rx=n_rx)
+        traffic = make_traffic(lam=0.8, total=20_000, seed=3)
+        run_simulation(scheme, traffic)  # warm-up: lazy imports and caches
+        tracemalloc.start()
+        try:
+            r = run_simulation(scheme, traffic)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(r.replica_flat) <= 50
 
 
 class TestConservation:

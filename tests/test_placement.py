@@ -183,16 +183,30 @@ class TestPlaceReplicas:
     def _rows(flat, offsets):
         return [flat[offsets[p] : offsets[p + 1]].tolist() for p in range(len(offsets) - 1)]
 
-    @pytest.mark.parametrize("mode", ["FR", "SW"])
-    def test_wide_path_matches_loop_reference(self, mode):
-        # window 30 with degree 8 makes duplicate pool rows common
-        scheme = make_scheme(mode, window=30, dist=DegreeDistribution(((1, 0.2), (2, 0.3), (3, 0.2), (8, 0.3))))
-        arrivals, degrees = self._inputs(5)
-        flat, offsets = place_replicas(scheme, arrivals, degrees, np.random.default_rng(9))
-        ref_rng = np.random.default_rng(9)
-        ref = _pool_reference(mode == "FR", 30, arrivals, degrees, ref_rng)
+    @pytest.mark.parametrize(
+        "mode,window,n",
+        [
+            # window 30 with degree 8 makes duplicate pool rows common (594 FR, 427 SW)
+            pytest.param("FR", 30, 3_000, id="FR"),
+            pytest.param("SW", 30, 3_000, id="SW"),
+            # a benchmark window: 1,171 duplicate rows
+            pytest.param("SW", 200, 45_000, id="SW-200"),
+            # degree 8 in 25 slots: 2,248 duplicate rows, 677 of them
+            # redrawn over several rounds
+            pytest.param("FR", 25, 10_000, id="FR-25"),
+        ],
+    )
+    def test_wide_path_matches_loop_reference(self, mode, window, n):
+        scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((1, 0.2), (2, 0.3), (3, 0.2), (8, 0.3))))
+        arrivals, degrees = self._inputs(5, n=n, horizon=2 * n // 3)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        flat, offsets = place_replicas(scheme, arrivals, degrees, rng)
+        ref = _pool_reference(mode == "FR", window, arrivals, degrees, ref_rng)
         assert self._rows(flat, offsets) == ref
         assert np.array_equal(np.diff(offsets), degrees)
+        # the batched redraw leaves the generator where a draw per round does
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
     @pytest.mark.parametrize("mode", ["FR", "SW"])
     def test_narrow_rows_sorted_distinct_in_window(self, mode):
@@ -245,3 +259,4 @@ class TestPlaceReplicas:
         scheme = make_scheme("SW", window=100, dist="crdsa2")
         flat, offsets = place_replicas(scheme, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.random.default_rng(0))
         assert len(flat) == 0 and offsets.tolist() == [0]
+
