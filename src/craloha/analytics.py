@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from .decoder import distinct
 from .model import AccessMode, SchemeConfig
 
 
@@ -123,7 +124,7 @@ def oracle_decode(replica_flat, replica_offsets) -> np.ndarray:
         keep = ~decoded[owner]
         slots, owner = slots[keep], owner[keep]
     occupancy = np.bincount(slots, minlength=n_slots)
-    bad = np.unique(slots[occupancy[slots] < 2])
+    bad = distinct(slots[occupancy[slots] < 2])
     if len(bad):
         raise RuntimeError(f"fixpoint residual is not a stopping set: singleton slots {bad.tolist()}")
     return decoded

@@ -347,7 +347,9 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     if spec.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
+        # The pool may start all its workers at the first submit, so a
+        # worker count above the number of points would start idle ones.
+        with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
             points = list(pool.map(run, jobs))
     else:
         points = [run(t) for t in jobs]

@@ -139,8 +139,18 @@ def run_simulation(
 # Trace phases within one slot, in the order the receiver runs them.
 _EVICT, _REPLICA, _DECODE, _FRAME_CLOSE = range(4)
 # A trace line's "event,cause" tail, by tag: loss, replica, IC decode,
-# clean decode. Lines are formatted and written _TRACE_CHUNK at a time.
-_TRACE_TAILS = (",loss,-\r\n", ",replica,-\r\n", ",decode,ic\r\n", ",decode,clean\r\n")
+# clean decode, as one row of bytes each, padded with 0 bytes. A chunk of
+# _TRACE_CHUNK lines is encoded as one uint8 matrix, a line per row: the
+# slot digits, a comma, the id digits and the tail row, with 0 wherever the
+# line is shorter than the matrix. No trace byte is 0, so dropping the 0s
+# leaves the chunk's lines.
+_TRACE_TAILS = np.array(
+    [
+        list(tail.ljust(15, b"\0"))
+        for tail in (b",loss,-\r\n", b",replica,-\r\n", b",decode,ic\r\n", b",decode,clean\r\n")
+    ],
+    dtype=np.uint8,
+)
 _TRACE_CHUNK = 8192
 
 
@@ -149,22 +159,43 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, lost_at, fr: bool) -
     evictions, replicas, decodes, then frame-close losses."""
     order = outcome.order
     lost = np.flatnonzero(lost_at >= 0)
-    slot = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
+    counts = [len(flat), len(order), len(lost)]
+    # the sort key slot * 4 + phase, from which each row's slot is recovered
+    key = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
+    key *= 4
+    key += np.repeat(np.array([_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], dtype=np.uint8), counts)
     pid = np.concatenate([np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), order, lost])
-    phase = np.repeat(
-        [_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], [len(flat), len(order), len(lost)]
-    )
-    tag = np.array([0, 1, 2, 0])[phase]
+    tag = np.repeat(np.array([1, 2, 0], dtype=np.uint8), counts)
     tag[len(flat) : len(flat) + len(order)] += outcome.clean[order]
-    rows = np.argsort(slot * 4 + phase, kind="stable")
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_FIELDS) + "\r\n")
-        # A string per chunk, not per file: one whole-file string would add
-        # its size to the run's peak memory.
+    rows = np.argsort(key, kind="stable")
+    with open(path, "wb") as fh:
+        fh.write(",".join(TRACE_FIELDS).encode() + b"\r\n")
+        # A matrix per chunk, not per file: one for the whole file would add
+        # about 30 bytes per line to the run's peak memory.
         for start in range(0, len(rows), _TRACE_CHUNK):
             r = rows[start : start + _TRACE_CHUNK]
-            lines = zip(slot[r].tolist(), pid[r].tolist(), tag[r].tolist())
-            fh.write("".join([f"{s},{p}{_TRACE_TAILS[t]}" for s, p, t in lines]))
+            slot, ids = key[r] >> 2, pid[r]
+            ws, wp = len(str(slot[-1])), len(str(ids.max()))
+            line = np.zeros((len(r), ws + 1 + wp + _TRACE_TAILS.shape[1]), dtype=np.uint8)
+            _put_digits(line[:, :ws], slot)
+            line[:, ws] = ord(",")
+            _put_digits(line[:, ws + 1 : ws + 1 + wp], ids)
+            line[:, ws + 1 + wp :] = np.take(_TRACE_TAILS, tag[r], axis=0)
+            fh.write(line[line != 0])
+
+
+def _put_digits(cols, values) -> None:
+    """Write non-negative ``values`` in decimal into the uint8 matrix
+    ``cols``, one per row, right-aligned; columns left of a value stay 0."""
+    q = values
+    for j in range(cols.shape[1] - 1, -1, -1):
+        r = q // 10
+        d = q - r * 10
+        d += ord("0")
+        if j < cols.shape[1] - 1:
+            d *= q > 0
+        cols[:, j] = d
+        q = r
 
 
 def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> None:

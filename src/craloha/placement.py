@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decoder import distinct
 from .model import AccessMode, SchemeConfig
 
 
@@ -100,7 +101,7 @@ def _sample_wide(k, low, n, rng) -> np.ndarray:
     key = np.repeat(np.arange(len(k), dtype=np.int64) * n, k)
     key += rng.integers(low, n, size=int(koff[-1]))
     key.sort()
-    dup_rows = np.unique(key[1:][key[1:] == key[:-1]] // n)
+    dup_rows = distinct(key[1:][key[1:] == key[:-1]] // n)
     vals = np.remainder(key, n, out=key)
     if not len(dup_rows):
         return vals

@@ -237,6 +237,37 @@ class TestSweepCommand:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
 
+    def test_pool_starts_at_most_one_worker_per_point(self, tmp_path, monkeypatch):
+        # A serial stand-in records the pool size; it starts no process.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        base = (
+            "mode=FR\nwindow=20\ndist=crdsa2\nlambda=0.3,0.5\ntotal_slots=2000\n"
+            "warmup=100\nseed=4\ntimestamp=off\nformat=both\n"
+        )
+        assert run_sweep(parse_config(base + f"out={tmp_path}/many\nworkers=500\n")) == run_sweep(
+            parse_config(base + f"out={tmp_path}/one\n")
+        )
+        assert sizes == [2]
+        for suffix in ("_summary.csv", "_summary.json"):
+            assert (tmp_path / f"many{suffix}").read_bytes() == (tmp_path / f"one{suffix}").read_bytes()
+
     def test_hist_files(self, tmp_path):
         text = (
             "mode=SW\nwindow=20\nn_rx=60\nlambda=0.4\ntotal_slots=3000\nwarmup=100\n"
@@ -287,6 +318,25 @@ class TestOracleCommand:
         assert main(["run", str(cfg), "--trace", str(tmp_path / "t.csv")]) == 0
         assert main(["oracle", str(tmp_path / "t.csv")]) == 0
         assert "MATCH" in capsys.readouterr().out
+
+    def test_run_and_oracle_leave_numpy_ma_unloaded(self, tmp_path):
+        # np.unique(x) without return flags imports numpy.ma on numpy >= 2.3;
+        # a wide placement (dist irsa4 in a 20-slot window) and the oracle's
+        # residual check both ran it.
+        cfg = write_config(
+            tmp_path,
+            "mode=SW\nwindow=20\nn_rx=100\ndist=irsa4\nlambda=0.6\ntotal_slots=2000\n"
+            f"warmup=100\nseed=3\nout={tmp_path}/o\ntimestamp=off\n",
+        )
+        trace = tmp_path / "t.csv"
+        code = (
+            "import sys; from craloha.cli import main; "
+            f"assert main(['run', {str(cfg)!r}, '--trace', {str(trace)!r}]) == 0; "
+            f"assert main(['oracle', {str(trace)!r}]) == 0; "
+            "print('numpy.ma' in sys.modules)"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout.strip().splitlines()[-1] == "False"
 
     def test_bounded_memory_diff_detected(self, tmp_path, capsys):
         # tight memory loses cascades the unbounded oracle resolves

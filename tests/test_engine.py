@@ -292,3 +292,85 @@ class TestTrace:
         assert losses == set(np.flatnonzero(r.lost).tolist())
         for pid, s in decodes.items():
             assert s == r.decode_slots[pid]
+
+
+def _fstring_trace(path, flat, offsets, outcome, lost_at, fr):
+    """The reference writer: one f-string per row, in the encoder's row order."""
+    order = outcome.order
+    lost = np.flatnonzero(lost_at >= 0)
+    slot = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
+    pid = np.concatenate([np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), order, lost])
+    phase = np.repeat([1, 2, 3 if fr else 0], [len(flat), len(order), len(lost)])
+    tag = np.array([0, 1, 2, 0])[phase]
+    tag[len(flat) : len(flat) + len(order)] += outcome.clean[order]
+    tails = (",loss,-\r\n", ",replica,-\r\n", ",decode,ic\r\n", ",decode,clean\r\n")
+    rows = np.argsort(slot * 4 + phase, kind="stable")
+    with open(path, "w", newline="") as fh:
+        fh.write("slot_index,packet_id,event,cause\r\n")
+        for s, p, t in zip(slot[rows].tolist(), pid[rows].tolist(), tag[rows].tolist()):
+            fh.write(f"{s},{p}{tails[t]}")
+
+
+class TestTraceEncoding:
+    """The byte encoder writes exactly what the reference writer writes."""
+
+    # case -> (scheme kwargs, traffic kwargs, rows per chunk or None, what
+    # the written trace must show for the case to cover what it names)
+    CASES = {
+        "zero-traffic": (
+            dict(mode="SW", window=10, n_rx=20),
+            dict(lam=0.0, total=500, warmup=10),
+            None,
+            lambda data: data == b"slot_index,packet_id,event,cause\r\n",
+        ),
+        "one-slot": (
+            dict(mode="SW", window=5, n_rx=10),
+            dict(lam=3.0, total=1, warmup=0),
+            None,
+            lambda data: b",replica," in data,
+        ),
+        "fr-frame-close": (
+            dict(mode="FR", window=20, dist="irsa8"),
+            dict(lam=0.9, total=2_000, warmup=100),
+            None,
+            lambda data: b",loss,-\r\n" in data,
+        ),
+        "sw-evictions": (
+            dict(mode="SW", window=20, n_rx=40, dist="irsa8"),
+            dict(lam=0.9, total=2_000, warmup=100),
+            None,
+            lambda data: b",loss,-\r\n" in data,
+        ),
+        "many-chunks": (
+            dict(mode="SW", window=100, n_rx=500, dist="irsa4"),
+            dict(lam=0.6, total=10_000, warmup=1_000),
+            None,
+            lambda data: data.count(b"\n") > 2 * craloha.engine._TRACE_CHUNK,
+        ),
+        "chunks-of-7": (
+            dict(mode="FR", window=10, dist="crdsa2"),
+            dict(lam=0.7, total=300, warmup=10),
+            7,
+            lambda data: data.count(b"\n") > 70,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_reference_writer(self, case, tmp_path, monkeypatch):
+        scheme_kw, traffic_kw, chunk, covers = self.CASES[case]
+        if chunk is not None:
+            monkeypatch.setattr(craloha.engine, "_TRACE_CHUNK", chunk)
+        calls = []
+        write = craloha.engine._write_trace
+
+        def spy(path, *args):
+            calls.append(args)
+            write(path, *args)
+
+        monkeypatch.setattr(craloha.engine, "_write_trace", spy)
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        run_simulation(make_scheme(**scheme_kw), make_traffic(seed=5, **traffic_kw), trace_path=path)
+        _fstring_trace(ref, *calls[0])
+        data = path.read_bytes()
+        assert data == ref.read_bytes()
+        assert covers(data)
