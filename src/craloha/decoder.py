@@ -28,9 +28,17 @@ slot. It is the only decode there, or the last decode of the first scan
 when a cut-off cascade resumes there. The remaining slots are visited by a
 forward scan over one flag per slot; every flag is raised ahead of the scan
 position, by a cancellation that leaves a later slot with one instance or
-by a cut-off cascade resuming at the next slot. Each visited slot runs one
-loop body, whose first scan holds the candidates of a cascade resuming there
-and the slot itself if it is a decodable singleton.
+by a cut-off cascade resuming at the next slot. Where no cascade resumes,
+the first scan holds at most the slot itself, a decodable singleton when
+ingested: its packet is decoded directly, and the heap-ordered scans start
+only if the cancellations left a decodable singleton behind the slot. Where
+a cascade resumes, the heap-ordered scans start at the first, over the
+cascade's candidates and the slot itself if it is a decodable singleton.
+
+The loop holds each slot's count and XOR as one Python int, and reads the
+replica slots, offsets and deadlines in place, so it holds no Python int per
+replica. The XORs are built by one scatter per degree position, without a
+per-replica array of owner ids.
 """
 
 from __future__ import annotations
@@ -86,26 +94,31 @@ def peel(
             f"packet {p} has last slot {int(last_a[p])} before its first replica slot {int(first_a[p])}"
         )
     size = max(n_slots, int(flat_a.max()) + 1 if len(flat_a) else 0)
-    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets_a))
     count_a = np.bincount(flat_a, minlength=size)
-    xor_a = np.zeros(size, dtype=np.int64)
-    np.bitwise_xor.at(xor_a, flat_a, owner)
-    del owner
+    xor_a = _slot_xors(flat_a, offsets_a, first_a, size)
     decode = array("q", [-1]) * n
     clean = bytearray(n)
     pre_ids = _resolve_first_slots(flat_a, offsets_a, first_a, count_a, xor_a, n_slots, decode, clean)
+    del first_a
+    singles = count_a[:n_slots] == 1
+    if not singles.any():
+        return _outcome(decode, clean, array("q"), pre_ids, 0)  # nothing left to visit
 
     # Buffers for the loop: a flag per slot that is to be visited, raised
-    # only ahead of the scan position, and a list for count, whose small
-    # values are cached ints. Flat, offsets, last and xor are used in place
-    # through memoryviews of the int64 arrays: a list would hold a 32-byte
-    # int per id or slot, and its conversion cost more than its faster item
-    # reads saved.
+    # only ahead of the scan position, and a list each for count and xor, one
+    # Python int per slot: the loop reads and writes them most, and a list
+    # item is read without boxing a new int. Count's small values are cached
+    # ints; xor holds a 32-byte int per occupied slot. Flat, offsets and
+    # last, one item per replica or packet, are read in place through
+    # memoryviews of the int64 arrays: a list would hold a 32-byte int each.
     flags = bytearray(size + 1)
-    flags[:n_slots] = (count_a[:n_slots] == 1).tobytes()
+    flags[:n_slots] = singles.tobytes()
+    del singles
     count = count_a.tolist()
-    del count_a, first_a
-    flat, offsets, last, xor = map(memoryview, (flat_a, offsets_a, last_a, xor_a))
+    del count_a
+    xor = xor_a.tolist()
+    del xor_a
+    flat, offsets, last = map(memoryview, (flat_a, offsets_a, last_a))
     order = array("q")
     met: list[int] = []  # pre-resolved packets ordered by a resumed cascade
     carried: list[int] = []  # cap-cut candidates, resumed at slot resume_at
@@ -114,16 +127,42 @@ def peel(
     heappop, heappush, heapify, find = heapq.heappop, heapq.heappush, heapq.heapify, flags.find
     t = find(1, 0, n_slots)
     while t >= 0:
-        # the first pass: a resumed cascade's candidates, then a born singleton
-        queue = [s for s in carried if count[s] == 1 and last[xor[s]] >= t] if resume_at == t else []
-        born = count[t] == 1 and last[xor[t]] >= t
-        pre = -1
-        if born:
-            queue.append(t)
-        elif resume_at == t and count[t] == 0 and decode[xor[t]] == t:
-            pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
-            met.append(pre)
-        passes = 0
+        if resume_at != t:
+            # The first pass holds at most the born singleton: decoded here,
+            # without the heap. Its cancellations behind t are pass 2.
+            p = xor[t]
+            if count[t] != 1 or last[p] < t:
+                t = find(1, t + 1, n_slots)
+                continue
+            decode[p] = t
+            order.append(p)
+            clean[p] = 1
+            queue = []
+            for r in flat[offsets[p] : offsets[p + 1]]:
+                c = count[r] - 1
+                count[r] = c
+                xor[r] ^= p
+                if c != 1:
+                    continue
+                if r > t:
+                    flags[r] = 1
+                elif last[xor[r]] >= t:
+                    queue.append(r)
+            if not queue:
+                t = find(1, t + 1, n_slots)
+                continue
+            born, pre, passes = True, -1, 1
+        else:
+            # the first pass: a resumed cascade's candidates, then a born singleton
+            queue = [s for s in carried if count[s] == 1 and last[xor[s]] >= t]
+            born = count[t] == 1 and last[xor[t]] >= t
+            pre = -1
+            if born:
+                queue.append(t)
+            elif count[t] == 0 and decode[xor[t]] == t:
+                pre = xor[t]  # resolved at t by the pre-pass: last of the first pass
+                met.append(pre)
+            passes = 0
         while queue and passes < i_max:
             passes += 1
             heapify(queue)
@@ -165,10 +204,15 @@ def peel(
             flags[t + 1] = 1
         t = find(1, t + 1, n_slots)
 
-    decode_slots = np.frombuffer(decode, dtype=np.int64)
     if met:
         pre_ids = pre_ids[~np.isin(pre_ids, met)]
-    # each remaining pre-resolved packet is the only decode at its slot
+    return _outcome(decode, clean, order, pre_ids, cap_hits)
+
+
+def _outcome(decode, clean, order, pre_ids, cap_hits) -> PeelOutcome:
+    """The outcome from the loop's buffers; each pre-resolved packet in
+    ``pre_ids`` is the only decode at its slot."""
+    decode_slots = np.frombuffer(decode, dtype=np.int64)
     main = np.frombuffer(order, dtype=np.int64)
     order_a = np.insert(main, np.searchsorted(decode_slots[main], decode_slots[pre_ids]), pre_ids)
     return PeelOutcome(
@@ -177,6 +221,18 @@ def peel(
         clean=np.frombuffer(clean, dtype=bool),
         iteration_cap_hits=cap_hits,
     )
+
+
+def _slot_xors(flat, offsets, first, size):
+    """Per slot, the XOR of the ids of the packets with a replica there, by
+    one scatter per degree position: no per-replica array of owner ids."""
+    xor = np.zeros(size, dtype=np.int64)
+    np.bitwise_xor.at(xor, first, np.arange(len(first)))
+    deg = np.diff(offsets)
+    for j in range(1, int(deg.max()) if len(deg) else 0):
+        ids = np.flatnonzero(deg > j)  # the packets with a replica at position j
+        np.bitwise_xor.at(xor, flat[offsets[ids] + j], ids)
+    return xor
 
 
 def _resolve_first_slots(flat, offsets, first, count, xor, n_slots, decode, clean):

@@ -164,17 +164,21 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, lost_at, fr: bool) -
     key = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
     key *= 4
     key += np.repeat(np.array([_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], dtype=np.uint8), counts)
-    pid = np.concatenate([np.repeat(np.arange(len(offsets) - 1), np.diff(offsets)), order, lost])
     tag = np.repeat(np.array([1, 2, 0], dtype=np.uint8), counts)
     tag[len(flat) : len(flat) + len(order)] += outcome.clean[order]
     rows = np.argsort(key, kind="stable")
+    # a row's packet id: its replica's owner, else from the decode and loss ids
+    n_rep, event_ids = len(flat), np.concatenate([order, lost])
     with open(path, "wb") as fh:
         fh.write(",".join(TRACE_FIELDS).encode() + b"\r\n")
         # A matrix per chunk, not per file: one for the whole file would add
         # about 30 bytes per line to the run's peak memory.
         for start in range(0, len(rows), _TRACE_CHUNK):
             r = rows[start : start + _TRACE_CHUNK]
-            slot, ids = key[r] >> 2, pid[r]
+            slot = key[r] >> 2
+            ids = np.searchsorted(offsets, r, side="right") - 1
+            event = r >= n_rep
+            ids[event] = event_ids[r[event] - n_rep]
             ws, wp = len(str(slot[-1])), len(str(ids.max()))
             line = np.zeros((len(r), ws + 1 + wp + _TRACE_TAILS.shape[1]), dtype=np.uint8)
             _put_digits(line[:, :ws], slot)

@@ -118,9 +118,10 @@ class TestZeroTraffic:
 class TestPeakMemory:
     @pytest.mark.parametrize("mode,n_rx", [("SW", 500), ("FR", None)])
     def test_peak_bytes_per_replica(self, mode, n_rx):
-        # Placement and peeling work in the run's int64 arrays; a Python int
-        # per replica (a list of ids or slots) alone would cost 40 B. The
-        # count is deterministic: about 32 B (SW) and 39 B (FR) per replica.
+        # Placement and peeling work in the run's int64 arrays, the peel's
+        # loop adding one Python int per slot; a Python int per replica (a
+        # list of ids or slots) alone would cost 40 B. The count is
+        # deterministic: about 33 B (SW) and 39 B (FR) per replica.
         scheme = make_scheme(mode, window=100, dist="irsa8", n_rx=n_rx)
         traffic = make_traffic(lam=0.8, total=20_000, seed=3)
         run_simulation(scheme, traffic)  # warm-up: lazy imports and caches
@@ -374,3 +375,27 @@ class TestTraceEncoding:
         data = path.read_bytes()
         assert data == ref.read_bytes()
         assert covers(data)
+
+    def test_writer_peak_bytes_per_line(self, tmp_path, monkeypatch):
+        # The writer's own traced peak on a 50k-slot SW irsa4 run at
+        # lambda=0.6 (119,570 lines): 31.3 B per line with a per-line int64
+        # array of packet ids, 25.4 B with the ids taken per chunk from the
+        # sorted rows. The count is deterministic.
+        peaks = []
+        write = craloha.engine._write_trace
+
+        def traced(path, *args):
+            tracemalloc.start()
+            try:
+                write(path, *args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(craloha.engine, "_write_trace", traced)
+        scheme = make_scheme("SW", window=100, dist="irsa4", n_rx=50_000)
+        traffic = make_traffic(lam=0.6, total=50_000, warmup=1_000, seed=7)
+        path = tmp_path / "trace.csv"
+        run_simulation(scheme, traffic, trace_path=path)  # warm-up: lazy imports and caches
+        run_simulation(scheme, traffic, trace_path=path)
+        assert peaks[-1] / path.read_bytes().count(b"\n") <= 28
