@@ -41,11 +41,15 @@ class RunResult:
     replica_flat: np.ndarray
     replica_offsets: np.ndarray
     decode_slots: np.ndarray
-    lost: np.ndarray
 
     @property
     def n_packets(self) -> int:
         return len(self.arrival_slots)
+
+    @property
+    def lost(self) -> np.ndarray:
+        """Per-packet lost flag: ``decode_slots < 0``."""
+        return self.decode_slots < 0
 
     def measurement_mask(self) -> np.ndarray:
         """Packets whose arrival falls in [warmup, total_slots)."""
@@ -111,7 +115,8 @@ def run_simulation(
 
     fr = scheme.mode is AccessMode.FR
     end_slot = drain_end_slot(scheme, traffic)
-    last = last_decode_slot(scheme, flat[offsets[:-1]])
+    first = flat[offsets[:-1]]
+    last = last_decode_slot(scheme, first)
     outcome = peel(flat, offsets, last, end_slot, i_max=scheme.max_ic_iterations)
     # The drain outlasts every packet's restorability, so each undecoded
     # packet has been lost by the last slot; the postconditions check it.
@@ -130,9 +135,8 @@ def run_simulation(
         replica_flat=flat,
         replica_offsets=offsets,
         decode_slots=outcome.decode_slots,
-        lost=lost,
     )
-    _check_postconditions(result, lost_at, end_slot)
+    _check_postconditions(result, first, lost_at, end_slot)
     return result
 
 
@@ -151,6 +155,8 @@ _TRACE_TAILS = np.array(
     ],
     dtype=np.uint8,
 )
+# a phase's tag; a decode's tag is raised by one when it was clean
+_PHASE_TAG = np.array([0, 1, 2, 0], dtype=np.uint8)
 _TRACE_CHUNK = 8192
 
 
@@ -159,32 +165,41 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, lost_at, fr: bool) -
     evictions, replicas, decodes, then frame-close losses."""
     order = outcome.order
     lost = np.flatnonzero(lost_at >= 0)
-    counts = [len(flat), len(order), len(lost)]
-    # the sort key slot * 4 + phase, from which each row's slot is recovered
+    n_rep, n_dec = len(flat), len(order)
+    # The sort key (slot * 4 + phase) << bits | index: the index is the
+    # packet id of a replica or loss row and the position in order of a
+    # decode row, so every key is distinct and sorts rows as the receiver
+    # emits them, and each row's slot, phase and packet come back from it.
+    bits = max(len(offsets) - 2, 1).bit_length()
     key = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
     key *= 4
-    key += np.repeat(np.array([_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], dtype=np.uint8), counts)
-    tag = np.repeat(np.array([1, 2, 0], dtype=np.uint8), counts)
-    tag[len(flat) : len(flat) + len(order)] += outcome.clean[order]
-    rows = np.argsort(key, kind="stable")
-    # a row's packet id: its replica's owner, else from the decode and loss ids
-    n_rep, event_ids = len(flat), np.concatenate([order, lost])
+    phases = np.array([_REPLICA, _DECODE, _FRAME_CLOSE if fr else _EVICT], dtype=np.uint8)
+    key += np.repeat(phases, [n_rep, n_dec, len(lost)])
+    key <<= bits
+    packets = np.arange(len(offsets) - 1, dtype=np.min_scalar_type(len(offsets)))
+    key[:n_rep] += np.repeat(packets, np.diff(offsets))
+    key[n_rep : n_rep + n_dec] += np.arange(n_dec)
+    key[n_rep + n_dec :] += lost
+    key.sort()
     with open(path, "wb") as fh:
         fh.write(",".join(TRACE_FIELDS).encode() + b"\r\n")
         # A matrix per chunk, not per file: one for the whole file would add
         # about 30 bytes per line to the run's peak memory.
-        for start in range(0, len(rows), _TRACE_CHUNK):
-            r = rows[start : start + _TRACE_CHUNK]
-            slot = key[r] >> 2
-            ids = np.searchsorted(offsets, r, side="right") - 1
-            event = r >= n_rep
-            ids[event] = event_ids[r[event] - n_rep]
+        for start in range(0, len(key), _TRACE_CHUNK):
+            k = key[start : start + _TRACE_CHUNK]
+            ids = k & ((1 << bits) - 1)
+            phase = (k >> bits) & 3
+            slot = k >> (bits + 2)
+            tag = _PHASE_TAG[phase]
+            decode = phase == _DECODE
+            ids[decode] = order[ids[decode]]
+            tag[decode] += outcome.clean[ids[decode]]
             ws, wp = len(str(slot[-1])), len(str(ids.max()))
-            line = np.zeros((len(r), ws + 1 + wp + _TRACE_TAILS.shape[1]), dtype=np.uint8)
+            line = np.zeros((len(k), ws + 1 + wp + _TRACE_TAILS.shape[1]), dtype=np.uint8)
             _put_digits(line[:, :ws], slot)
             line[:, ws] = ord(",")
             _put_digits(line[:, ws + 1 : ws + 1 + wp], ids)
-            line[:, ws + 1 + wp :] = np.take(_TRACE_TAILS, tag[r], axis=0)
+            line[:, ws + 1 + wp :] = np.take(_TRACE_TAILS, tag, axis=0)
             fh.write(line[line != 0])
 
 
@@ -202,12 +217,11 @@ def _put_digits(cols, values) -> None:
         q = r
 
 
-def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> None:
+def _check_postconditions(r: RunResult, first: np.ndarray, lost_at: np.ndarray, end_slot: int) -> None:
     decoded = r.decoded_mask()
     if bool(np.any(lost_at >= end_slot)):
         raise SimulationInvariantError("conservation violated: packet restorable past the drain")
-    first_replica = r.replica_flat[r.replica_offsets[:-1]][decoded]
-    if bool(np.any(r.decode_slots[decoded] < first_replica)):
+    if bool(np.any(r.decode_slots[decoded] < first[decoded])):
         raise SimulationInvariantError("decode before first replica slot")
     # Delay support, asserted on every run.
     diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1

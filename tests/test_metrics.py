@@ -15,7 +15,7 @@ from craloha.model import TrafficConfig
 from conftest import make_scheme, make_traffic
 
 
-def make_result(arrivals, decode_slots, lost, total_slots, warmup=0):
+def make_result(arrivals, decode_slots, total_slots, warmup=0):
     """Hand-built RunResult for constructed traces."""
     n = len(arrivals)
     scheme = make_scheme("SW", window=max(total_slots, 2), n_rx=4 * max(total_slots, 2))
@@ -30,25 +30,24 @@ def make_result(arrivals, decode_slots, lost, total_slots, warmup=0):
         replica_flat=np.asarray(arrivals, dtype=np.int64),
         replica_offsets=np.arange(n + 1, dtype=np.int64),
         decode_slots=np.asarray(decode_slots, dtype=np.int64),
-        lost=np.asarray(lost, dtype=bool),
     )
 
 
 class TestThroughput:
     def test_zero_arrivals(self):
-        r = make_result([], [], [], total_slots=100)
+        r = make_result([], [], total_slots=100)
         assert throughput(r) == 0.0
 
     def test_one_clean_arrival_per_slot(self):
         # constructed deterministic trace: every slot one degree-1 packet,
         # all decoded in their own slot
         n = 50
-        r = make_result(range(n), range(n), [False] * n, total_slots=n)
+        r = make_result(range(n), range(n), total_slots=n)
         assert throughput(r) == 1.0
 
     def test_window_filtering(self):
         # packets before warmup are excluded from the count
-        r = make_result([0, 1, 5, 6], [0, 1, 5, 6], [False] * 4, total_slots=10, warmup=5)
+        r = make_result([0, 1, 5, 6], [0, 1, 5, 6], total_slots=10, warmup=5)
         assert throughput(r) == 2 / 5
 
 
@@ -65,17 +64,17 @@ class TestLossRate:
         assert loss_rate(r) == pytest.approx(lost / arrived)
 
     def test_unresolvable_pair_loses_everything(self):
-        r = make_result([0, 0], [-1, -1], [True, True], total_slots=4)
+        r = make_result([0, 0], [-1, -1], total_slots=4)
         assert loss_rate(r) == 1.0
 
     def test_no_arrivals_in_window(self):
-        r = make_result([], [], [], total_slots=10)
+        r = make_result([], [], total_slots=10)
         assert loss_rate(r) == 0.0
 
 
 class TestDelayDistribution:
     def test_single_packet(self):
-        r = make_result([3], [3], [False], total_slots=10)
+        r = make_result([3], [3], total_slots=10)
         d = delay_distribution(r, bin_width_ms=1.0)
         assert d.n_decoded == 1
         assert d.mode_ms == 251.0
@@ -85,7 +84,7 @@ class TestDelayDistribution:
         assert d.quantiles[0.5] == 251.0
 
     def test_empty_distribution(self):
-        r = make_result([0, 1], [-1, -1], [True, True], total_slots=4)
+        r = make_result([0, 1], [-1, -1], total_slots=4)
         d = delay_distribution(r)
         assert d.n_decoded == 0
         assert len(d.counts) == 0
@@ -111,13 +110,13 @@ class TestDelayDistribution:
             assert abs(d.mean_ms - binned_mean) <= width
 
     def test_bad_bin_width(self):
-        r = make_result([0], [0], [False], total_slots=2)
+        r = make_result([0], [0], total_slots=2)
         for width in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 delay_distribution(r, bin_width_ms=width)
 
     def test_quantiles_come_from_observed_delays(self):
-        r = make_result([0, 1, 2, 3], [0, 2, 4, 9], [False] * 4, total_slots=12)
+        r = make_result([0, 1, 2, 3], [0, 2, 4, 9], total_slots=12)
         d = delay_distribution(r)
         # delays: 251, 252, 253, 257
         assert d.quantiles[0.5] == 252.0
@@ -126,7 +125,7 @@ class TestDelayDistribution:
 
 class TestCdfAt:
     def test_edges(self):
-        r = make_result([0, 1], [0, 3], [False, False], total_slots=6)
+        r = make_result([0, 1], [0, 3], total_slots=6)
         d = delay_distribution(r)  # delays 251 and 253
         assert cdf_at(d, 250.9) == 0.0
         assert cdf_at(d, 251.0) == 0.5

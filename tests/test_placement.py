@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,7 @@ from conftest import make_scheme
 
 def _place(mode, window, arrivals, degrees, rng, max_degree):
     """``place_replicas`` under a scheme whose distribution has
-    ``max_degree``: that picks the branch (wide when ``3 * max_degree`` is
-    under the eligible offsets), while ``degrees`` sets the rows."""
+    ``max_degree``, while ``degrees`` sets the rows."""
     scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((max_degree, 1.0),)))
     arrivals = np.broadcast_to(np.asarray(arrivals, dtype=np.int64), np.shape(degrees))
     return place_replicas(scheme, arrivals, degrees, rng)
@@ -56,12 +57,11 @@ class TestLastDecodeSlot:
 
 class TestPlaceFr:
     def test_replicas_land_in_next_frame(self, rng):
-        for max_degree in (2, 100):  # wide, narrow
-            flat, offsets = _place("FR", 100, 5, np.full(200, 2), rng, max_degree)
-            for slots in _rows(flat, offsets):
-                assert len(slots) == 2 and len(set(slots)) == 2
-                assert all(100 <= s <= 199 for s in slots)
-                assert slots == sorted(slots)
+        flat, offsets = _place("FR", 100, 5, np.full(200, 2), rng, 2)
+        for slots in _rows(flat, offsets):
+            assert len(slots) == 2 and len(set(slots)) == 2
+            assert all(100 <= s <= 199 for s in slots)
+            assert slots == sorted(slots)
 
     def test_full_frame_occupancy(self, rng):
         # degree equal to the frame length fills the transmission frame
@@ -76,10 +76,9 @@ class TestPlaceFr:
         # coarse check here; the 4-sigma check at 1e6 placements is in acceptance
         n = 200_000
         tol = 5 * np.sqrt(0.06 * 0.94 / n)
-        for max_degree in (3, 50):  # wide, narrow
-            flat, _ = _place("FR", 50, 7, np.full(n, 3), np.random.default_rng(2), max_degree)
-            freq = np.bincount(flat - 50, minlength=50) / n
-            assert np.abs(freq - 3 / 50).max() < tol
+        flat, _ = _place("FR", 50, 7, np.full(n, 3), np.random.default_rng(2), 3)
+        freq = np.bincount(flat - 50, minlength=50) / n
+        assert np.abs(freq - 3 / 50).max() < tol
 
 
 class TestPlaceSw:
@@ -93,13 +92,12 @@ class TestPlaceSw:
         assert _rows(flat, offsets) == [[7, 8, 9, 10]]
 
     def test_first_replica_at_ready_slot(self, rng):
-        for max_degree in (3, 20):  # wide, narrow
-            flat, offsets = _place("SW", 20, 31, np.full(200, 3), rng, max_degree)
-            for slots in _rows(flat, offsets):
-                assert slots[0] == 31
-                assert len(set(slots)) == 3
-                assert all(32 <= s <= 50 for s in slots[1:])
-                assert slots == sorted(slots)
+        flat, offsets = _place("SW", 20, 31, np.full(200, 3), rng, 3)
+        for slots in _rows(flat, offsets):
+            assert slots[0] == 31
+            assert len(set(slots)) == 3
+            assert all(32 <= s <= 50 for s in slots[1:])
+            assert slots == sorted(slots)
 
     def test_degree_above_window_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -115,7 +113,7 @@ class TestPlaceSw:
 
 class TestSampleWithoutReplacement:
     """Every row is a uniform draw without replacement from its eligible
-    offsets, on the narrow branch (max degree = window)."""
+    offsets, up to a degree equal to the window."""
 
     @given(
         mode=st.sampled_from(["FR", "SW"]),
@@ -147,28 +145,28 @@ class TestSampleWithoutReplacement:
         assert np.abs(freq - 1 / 6).max() < 0.01
 
 
-def _pool_reference(fr, n_window, arrival_slots, degrees, rng):
-    """Per-packet loop over one pool draw, completing duplicate rows with
-    fresh draws in packet order: the reference for the vectorized path."""
-    total = int(degrees.sum())
-    if fr:
-        pool = rng.integers(0, n_window, size=total).tolist() if total else []
-    else:
-        n_extra = total - len(degrees)
-        pool = rng.integers(1, n_window, size=n_extra).tolist() if n_extra else []
-    rows, pos = [], 0
-    for t, l in zip(arrival_slots.tolist(), degrees.tolist()):
-        k = l if fr else l - 1
-        picked = set(pool[pos : pos + k])
-        pos += k
-        while len(picked) < k:
-            picked.update(rng.integers(0 if fr else 1, n_window, size=k - len(picked)).tolist())
+def _floyd_reference(fr, n_window, arrival_slots, degrees, rng):
+    """Per-packet Floyd subset sampling with a ``set``, over the same
+    ``rng.integers`` calls as ``place_replicas`` (degree ascending, then
+    column by column): the reference for the vectorized path."""
+    low = 0 if fr else 1
+    draws = [[] for _ in range(len(degrees))]
+    for d in sorted(set(degrees.tolist())):
+        rows = np.flatnonzero(degrees == d).tolist()
+        for i in range(low, d):
+            for p, t in zip(rows, rng.integers(low, n_window - d + i + 1, size=len(rows)).tolist()):
+                draws[p].append(t)
+    out = []
+    for t, d, picks in zip(arrival_slots.tolist(), degrees.tolist(), draws):
+        picked = set()
+        for j, v in zip(range(n_window - d + low, n_window), picks):
+            picked.add(j if v in picked else v)
         if fr:
             base = (t // n_window + 1) * n_window
-            rows.append(sorted(base + v for v in picked))
+            out.append(sorted(base + v for v in picked))
         else:
-            rows.append([t] + sorted(t + v for v in picked))
-    return rows
+            out.append([t] + sorted(t + v for v in picked))
+    return out
 
 
 class TestPlaceReplicas:
@@ -186,13 +184,12 @@ class TestPlaceReplicas:
     @pytest.mark.parametrize(
         "mode,window,n",
         [
-            # window 30 with degree 8 makes duplicate pool rows common (594 FR, 427 SW)
+            # window 30 with degree 8 makes Floyd's fallback common
             pytest.param("FR", 30, 3_000, id="FR"),
             pytest.param("SW", 30, 3_000, id="SW"),
-            # a benchmark window: 1,171 duplicate rows
+            # a benchmark window
             pytest.param("SW", 200, 45_000, id="SW-200"),
-            # degree 8 in 25 slots: 2,248 duplicate rows, 677 of them
-            # redrawn over several rounds
+            # degree 8 in 25 slots: most degree-8 rows take the fallback
             pytest.param("FR", 25, 10_000, id="FR-25"),
         ],
     )
@@ -201,16 +198,16 @@ class TestPlaceReplicas:
         arrivals, degrees = self._inputs(5, n=n, horizon=2 * n // 3)
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
         flat, offsets = place_replicas(scheme, arrivals, degrees, rng)
-        ref = _pool_reference(mode == "FR", window, arrivals, degrees, ref_rng)
+        ref = _floyd_reference(mode == "FR", window, arrivals, degrees, ref_rng)
         assert self._rows(flat, offsets) == ref
         assert np.array_equal(np.diff(offsets), degrees)
-        # the batched redraw leaves the generator where a draw per round does
+        # the batched columns leave the generator where the reference's calls do
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
     @pytest.mark.parametrize("mode", ["FR", "SW"])
     def test_narrow_rows_sorted_distinct_in_window(self, mode):
-        # 3 * 8 >= 20: irsa8 on a 20-slot window takes the narrow branch
+        # irsa8 on a 20-slot window: degree-8 rows fill 8 of 20 slots
         scheme = make_scheme(mode, window=20, dist="irsa8")
         arrivals, _ = self._inputs(6, n=500, horizon=300)
         degrees = np.random.default_rng(1).choice([1, 2, 3, 8], size=len(arrivals))
@@ -222,9 +219,10 @@ class TestPlaceReplicas:
             assert lo <= row[0] and row[-1] < lo + 20
             assert mode == "FR" or row[0] == t
 
-    @pytest.mark.parametrize("mode,window,degree", [("FR", 5, 2), ("SW", 6, 3)])
-    def test_narrow_subsets_uniform(self, mode, window, degree):
-        # both draw 2 of 5 offsets: each of the 10 subsets within 4 sigma of 1/10
+    @pytest.mark.parametrize("mode,window,degree", [("FR", 5, 2), ("SW", 6, 3), ("FR", 12, 3)])
+    def test_subsets_uniform(self, mode, window, degree):
+        # 2 of 5 offsets (10 subsets) or 3 of 12 (220): each subset within
+        # 4 sigma of its uniform share
         n = 100_000
         scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((degree, 1.0),)))
         flat, _ = place_replicas(scheme, np.zeros(n, dtype=np.int64), np.full(n, degree), np.random.default_rng(3))
@@ -234,16 +232,18 @@ class TestPlaceReplicas:
             rows = rows[:, 1:]
         masks = (1 << rows).sum(axis=1)
         subsets, counts = np.unique(masks, return_counts=True)
-        assert len(subsets) == 10
-        tol = 4 * np.sqrt(0.1 * 0.9 / n)
-        assert np.abs(counts / n - 0.1).max() < tol
+        n_subsets = math.comb(window - (mode == "SW"), rows.shape[1])
+        assert len(subsets) == n_subsets
+        share = 1 / n_subsets
+        tol = 4 * np.sqrt(share * (1 - share) / n)
+        assert np.abs(counts / n - share).max() < tol
 
     @pytest.mark.parametrize(
         "mode,window,max_degree,bad",
         [
-            ("FR", 200, 2, 201),  # wide branch
+            ("FR", 200, 2, 201),
             ("FR", 200, 2, 0),
-            ("FR", 20, 8, 21),  # narrow branch
+            ("FR", 20, 8, 21),
             ("SW", 200, 2, 201),
             ("SW", 20, 8, 21),
             ("SW", 20, 8, 0),
