@@ -35,7 +35,6 @@ import json
 import math
 import statistics
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from functools import partial
 from datetime import datetime, timezone
@@ -45,7 +44,7 @@ import numpy as np
 
 from .analytics import oracle_decode, p_uins_fr, p_uins_fr_terms, p_uins_sw, p_uins_sw_terms
 from .decoder import distinct
-from .engine import TRACE_FIELDS, run_simulation
+from .engine import TraceError, read_trace, run_simulation
 from .metrics import delay_distribution, loss_rate, throughput
 from .model import (
     AccessMode,
@@ -416,75 +415,13 @@ def _cmd_analytic(args) -> int:
     return 0 if equal else 1
 
 
-class TraceError(ValueError):
-    """A trace file that ``run --trace`` could not have written."""
-
-
-# Event names are compared exactly: the field is one char wider than the
-# longest name, so a longer value never truncates to one. Cause is unread.
-_TRACE_DTYPE = np.dtype([("slot", np.int64), ("pid", np.int64), ("event", "U8"), ("cause", "U1")])
-
-
-def _scan_trace(path) -> np.ndarray:
-    """Row-by-row parse of the trace at ``path``, past its header; raises
-    TraceError naming the first bad line."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        try:
-            for slot, pid, event, _cause in reader:
-                rows.append((np.int64(int(slot)), np.int64(int(pid)), event, ""))
-        except (ValueError, OverflowError) as exc:
-            raise TraceError(f"malformed trace line {reader.line_num}: {exc}") from None
-    return np.array(rows, dtype=_TRACE_DTYPE)
-
-
-def _line_count(path) -> int:
-    """Lines in the file at ``path``, split as ``np.loadtxt`` splits them
-    (at CRLF, LF or a lone CR), counted in 1 MB binary chunks."""
-    lines, prev = 0, 10
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            b = np.frombuffer(chunk, dtype=np.uint8)
-            lf, cr = b == 10, b == 13
-            # a CRLF is one break, also when split across two chunks
-            crlf = np.count_nonzero(cr[:-1] & lf[1:]) + (prev == 13 and lf[0])
-            lines += np.count_nonzero(lf) + np.count_nonzero(cr) - crlf
-            prev = chunk[-1]
-    return lines + (prev not in (10, 13))
-
-
-def _read_trace(path) -> np.ndarray:
-    """The rows of a trace CSV, as a ``_TRACE_DTYPE`` record array."""
-    with open(path, newline="") as fh:
-        header = next(csv.reader(fh), None)
-    if header != list(TRACE_FIELDS):
-        raise TraceError(f"unexpected trace columns {header}")
-    try:
-        # One C-level parse past the header (warning when the body is empty).
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(
-                path, dtype=_TRACE_DTYPE, delimiter=",", comments=None, quotechar='"', ndmin=1, skiprows=1
-            )
-    except ValueError:
-        rows = None
-    # loadtxt skips blank lines silently, so a row count short of the body's
-    # lines, like a bad field, sends the file to the row-by-row scan, which
-    # names the bad line.
-    if rows is not None and len(rows) == _line_count(path) - 1:
-        return rows
-    return _scan_trace(path)
-
-
 def _cmd_oracle(args) -> int:
     try:
-        rows = _read_trace(args.trace)
+        rows = read_trace(args.trace)
     except TraceError as exc:
         print(exc, file=sys.stderr)
         return 2
-    replica = rows["event"] == "replica"
+    replica = rows["event"] == b"replica"
     # Dense packet and slot ids, then the CSR rows sorted by (packet, slot);
     # a repeated (packet, slot) line counts once.
     ids, packet = np.unique(rows["pid"][replica], return_inverse=True)
@@ -493,7 +430,7 @@ def _cmd_oracle(args) -> int:
     pairs = distinct(packet * n_slots + slot)
     offsets = np.searchsorted(pairs // n_slots, np.arange(len(ids) + 1))
     oracle = ids[oracle_decode(pairs % n_slots, offsets)]
-    decoder_decoded = distinct(rows["pid"][rows["event"] == "decode"])
+    decoder_decoded = distinct(rows["pid"][rows["event"] == b"decode"])
     only_oracle = np.setdiff1d(oracle, decoder_decoded, assume_unique=True).tolist()
     only_decoder = np.setdiff1d(decoder_decoded, oracle, assume_unique=True).tolist()
     print(f"packets={len(ids)} decoder_decoded={len(decoder_decoded)} oracle_decoded={len(oracle)}")

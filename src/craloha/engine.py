@@ -1,4 +1,4 @@
-"""One run: arrivals, replica placement, receiver peeling, finalization.
+"""One run (arrivals, replica placement, peeling, finalization) and its trace.
 
 A run simulates ``total_slots`` of Poisson arrivals plus an arrival-free
 drain so every in-flight packet resolves one way or the other. It places
@@ -9,6 +9,8 @@ the delay-support invariants as hard postconditions.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +19,6 @@ from .analytics import delay_support_slots
 from .decoder import PeelOutcome, peel
 from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
 from .placement import last_decode_slot, place_replicas, tx_frame_start
-
-TRACE_FIELDS = ("slot_index", "packet_id", "event", "cause")
 
 
 class SimulationInvariantError(RuntimeError):
@@ -142,19 +142,16 @@ def run_simulation(
 
 # Trace phases within one slot, in the order the receiver runs them.
 _EVICT, _REPLICA, _DECODE, _FRAME_CLOSE = range(4)
+_TRACE_HEADER = b"slot_index,packet_id,event,cause"
 # A trace line's "event,cause" tail, by tag: loss, replica, IC decode,
-# clean decode, as one row of bytes each, padded with 0 bytes. A chunk of
+# clean decode. The writer and the reader both take the format from here.
+_TAILS = (b",loss,-", b",replica,-", b",decode,ic", b",decode,clean")
+# The tails as rows of bytes, CRLF-ended and padded with 0 bytes. A chunk of
 # _TRACE_CHUNK lines is encoded as one uint8 matrix, a line per row: the
 # slot digits, a comma, the id digits and the tail row, with 0 wherever the
 # line is shorter than the matrix. No trace byte is 0, so dropping the 0s
 # leaves the chunk's lines.
-_TRACE_TAILS = np.array(
-    [
-        list(tail.ljust(15, b"\0"))
-        for tail in (b",loss,-\r\n", b",replica,-\r\n", b",decode,ic\r\n", b",decode,clean\r\n")
-    ],
-    dtype=np.uint8,
-)
+_TRACE_TAILS = np.array([list((tail + b"\r\n").ljust(15, b"\0")) for tail in _TAILS], dtype=np.uint8)
 # a phase's tag; a decode's tag is raised by one when it was clean
 _PHASE_TAG = np.array([0, 1, 2, 0], dtype=np.uint8)
 _TRACE_CHUNK = 8192
@@ -182,7 +179,7 @@ def _write_trace(path, flat, offsets, outcome: PeelOutcome, lost_at, fr: bool) -
     key[n_rep + n_dec :] += lost
     key.sort()
     with open(path, "wb") as fh:
-        fh.write(",".join(TRACE_FIELDS).encode() + b"\r\n")
+        fh.write(_TRACE_HEADER + b"\r\n")
         # A matrix per chunk, not per file: one for the whole file would add
         # about 30 bytes per line to the run's peak memory.
         for start in range(0, len(key), _TRACE_CHUNK):
@@ -215,6 +212,71 @@ def _put_digits(cols, values) -> None:
             d *= q > 0
         cols[:, j] = d
         q = r
+
+
+class TraceError(ValueError):
+    """A trace file that ``run --trace`` could not have written."""
+
+
+# Past the header, a line is a slot and a packet id in decimal without sign
+# or leading zero, at most 18 digits each so both fit int64, and a tail.
+_ID = rb"(?:0|[1-9][0-9]{0,17})"
+_HEADER_LINE = re.compile(re.escape(_TRACE_HEADER) + rb"\r?\n")
+_TRACE_LINE = re.compile(_ID + b"," + _ID + b"(?:" + b"|".join(map(re.escape, _TAILS)) + rb")\r?\n")
+# Event and cause are wider than any name in _TAILS, so a longer field
+# (loadtxt truncates it) never equals one; each compares as one uint64.
+_TRACE_DTYPE = np.dtype([("slot", np.int64), ("pid", np.int64), ("event", "S8"), ("cause", "S8")])
+_TAIL_WORDS = np.array([t[1:].split(b",") for t in _TAILS], dtype="S8").view(np.uint64)
+_READ_BYTES = 1 << 20
+
+
+def read_trace(path) -> np.ndarray:
+    """The lines of the trace at ``path`` past its header, as ``_TRACE_DTYPE``
+    records; raises TraceError naming the first line the writer could not
+    have written."""
+    if (rows := _load_trace(path)) is not None:
+        return rows
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            if not (_TRACE_LINE if n > 1 else _HEADER_LINE).fullmatch(line):
+                raise TraceError(f"malformed trace line {n}: {line[:80]!r} is not a line run --trace writes")
+    raise TraceError("malformed trace line 1: the file is empty")
+
+
+def _load_trace(path):
+    """One ``np.loadtxt`` parse of the trace at ``path``, or None unless every
+    line is one the writer could have written. loadtxt also takes blank lines,
+    a lone CR, and fields with a sign, a leading zero or space or trailing
+    NULs, all longer than the writer's. So the rows stand when there is one per
+    LF, ids have at most 18 digits, and the writer's lines for them, with the
+    file's line ends and no bytes for an unknown tail, fill the file exactly."""
+    lf, crlf, last = 0, 0, b""
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        while chunk := fh.read(_READ_BYTES):
+            b = np.frombuffer(chunk, dtype=np.uint8)
+            is_lf = b == 10
+            lf += np.count_nonzero(is_lf)
+            # a CRLF split across two chunks counts too
+            crlf += np.count_nonzero((b[:-1] == 13) & is_lf[1:]) + (last == b"\r" and b[0] == 10)
+            last = chunk[-1:]
+        size = fh.tell()
+    try:
+        with warnings.catch_warnings():  # loadtxt warns when the body is empty
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, _TRACE_DTYPE, delimiter=",", comments=None, ndmin=1, skiprows=1)
+    except ValueError:
+        return None
+    slot, pid = rows["slot"], rows["pid"]
+    event, cause = rows["event"].view(np.uint64), rows["cause"].view(np.uint64)
+    # a row matches at most one tail, as the tails are distinct
+    per_tail = [np.count_nonzero((event == e) & (cause == c)) for e, c in _TAIL_WORDS]
+    top = max(slot.max(initial=0), pid.max(initial=0))
+    written = len(header) + 3 * len(rows) + sum(n * len(t) for n, t in zip(per_tail, _TAILS)) + lf + crlf
+    for k in range(1, len(str(top))):  # each id's digits past its first
+        written += np.count_nonzero(slot >= 10**k) + np.count_nonzero(pid >= 10**k)
+    valid = _HEADER_LINE.fullmatch(header) and last in (b"", b"\n") and top < 10**18
+    return rows if valid and len(rows) == lf and written == size else None
 
 
 def _check_postconditions(r: RunResult, first: np.ndarray, lost_at: np.ndarray, end_slot: int) -> None:

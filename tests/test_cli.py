@@ -367,8 +367,32 @@ class TestOracleCommand:
             (40, lambda f: [f[0], "x"] + f[2:]),
             (57, lambda f: f + ["9"]),
             (300, lambda f: []),
+            # lines np.loadtxt parses that the writer never writes
+            (12, lambda f: [f[0], "-" + f[1]] + f[2:]),
+            (13, lambda f: f[:2] + [f'"{f[2]}"', f[3]]),
+            (14, lambda f: f[:2] + ["decode", "foo"]),
+            (15, lambda f: [f[0], "1" + "0" * 18] + f[2:]),
+            (16, lambda f: f[:3] + [f[3] + " "]),
+            (17, lambda f: ["0" + f[0]] + f[1:]),
+            (18, lambda f: ["+" + f[0]] + f[1:]),
+            (19, lambda f: f[:3] + [f[3] + "\r\r"]),
+            (1, lambda f: f[:3] + ["CAUSE"]),
         ],
-        ids=("non-integer-slot", "non-integer-id", "extra-field", "blank-line"),
+        ids=(
+            "non-integer-slot",
+            "non-integer-id",
+            "extra-field",
+            "blank-line",
+            "negative-id",
+            "quoted-field",
+            "unknown-cause",
+            "19-digit-id",
+            "trailing-space",
+            "leading-zero",
+            "plus-sign",
+            "lone-cr",
+            "renamed-column",
+        ),
     )
     def test_malformed_line_is_named(self, tmp_path, capsys, trace_lines, lineno, edit):
         trace_lines[lineno - 1] = ",".join(edit(trace_lines[lineno - 1].split(",")))
@@ -399,8 +423,22 @@ class TestOracleCommand:
         assert main(["oracle", str(path)]) == 2
         assert "line 4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [
+            (b"\r\n0,0,replica,-\r0,0,decode,clean\r", 2),
+            (b"\n0,0,replica,-\n\n0,0,decode,clean", 3),
+        ],
+        ids=("cr-only", "blank-then-unterminated"),
+    )
+    def test_bad_line_ends_are_named(self, tmp_path, capsys, body, lineno):
+        path = tmp_path / "ends.csv"
+        path.write_bytes(b"slot_index,packet_id,event,cause" + body)
+        assert main(["oracle", str(path)]) == 2
+        assert f"line {lineno}:" in capsys.readouterr().err
+
     def test_event_names_compared_exactly(self, tmp_path, capsys):
         lines = ["slot_index,packet_id,event,cause", "0,0,replica,-", "0,0,decode,clean", "1,1,replicaX,-"]
-        code, out, _ = self.oracle(tmp_path, capsys, lines)
-        assert code == 0
-        assert out.startswith("packets=1 decoder_decoded=1 oracle_decoded=1\n")
+        code, _, err = self.oracle(tmp_path, capsys, lines)
+        assert code == 2
+        assert "line 4:" in err

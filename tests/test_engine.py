@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import craloha.engine
 
@@ -16,6 +17,7 @@ from craloha import (
     run_simulation,
     throughput,
 )
+from craloha.decoder import PeelOutcome
 from craloha.engine import SimulationInvariantError, drain_end_slot
 
 from conftest import make_scheme, make_traffic
@@ -298,7 +300,8 @@ class TestTrace:
 
 
 def _fstring_trace(path, flat, offsets, outcome, lost_at, fr):
-    """The reference writer: one f-string per row, in the encoder's row order."""
+    """The reference writer: one f-string per row, in the encoder's row
+    order. Returns the rows' slots, packet ids and tails."""
     order = outcome.order
     lost = np.flatnonzero(lost_at >= 0)
     slot = np.concatenate([flat, outcome.decode_slots[order], lost_at[lost]])
@@ -312,10 +315,24 @@ def _fstring_trace(path, flat, offsets, outcome, lost_at, fr):
         fh.write("slot_index,packet_id,event,cause\r\n")
         for s, p, t in zip(slot[rows].tolist(), pid[rows].tolist(), tag[rows].tolist()):
             fh.write(f"{s},{p}{tails[t]}")
+    return slot[rows], pid[rows], tag[rows]
+
+
+def _assert_reads_back(path, ref_rows):
+    """The reader returns exactly the reference writer's rows."""
+    slot, pid, tag = ref_rows
+    rows = craloha.engine.read_trace(path)
+    assert rows["slot"].tolist() == slot.tolist()
+    assert rows["pid"].tolist() == pid.tolist()
+    events = np.array([b"loss", b"replica", b"decode", b"decode"])[tag]
+    causes = np.array([b"-", b"-", b"ic", b"clean"])[tag]
+    assert rows["event"].tolist() == events.tolist()
+    assert rows["cause"].tolist() == causes.tolist()
 
 
 class TestTraceEncoding:
-    """The byte encoder writes exactly what the reference writer writes."""
+    """The byte encoder writes exactly what the reference writer writes, and
+    the reader reads back the reference writer's rows."""
 
     # case -> (scheme kwargs, traffic kwargs, rows per chunk or None, what
     # the written trace must show for the case to cover what it names)
@@ -373,10 +390,33 @@ class TestTraceEncoding:
         monkeypatch.setattr(craloha.engine, "_write_trace", spy)
         path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
         run_simulation(make_scheme(**scheme_kw), make_traffic(seed=5, **traffic_kw), trace_path=path)
-        _fstring_trace(ref, *calls[0])
+        ref_rows = _fstring_trace(ref, *calls[0])
         data = path.read_bytes()
         assert data == ref.read_bytes()
         assert covers(data)
+        _assert_reads_back(path, ref_rows)
+
+    def test_widest_slots_round_trip(self, tmp_path):
+        # 18-digit slots, the widest the reader takes: two packets leave the
+        # sort key one index bit, so (slot * 4 + 3) << 1 still fits int64
+        top = 10**18 - 1
+        flat = np.array([top - 3, top - 1, top - 2, top], dtype=np.int64)
+        offsets = np.array([0, 2, 4], dtype=np.int64)
+        outcome = PeelOutcome(np.array([top - 1, -1]), np.array([0]), np.array([False, False]), 0)
+        args = (flat, offsets, outcome, np.array([-1, top]), True)
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        craloha.engine._write_trace(path, *args)
+        ref_rows = _fstring_trace(ref, *args)
+        assert path.read_bytes() == ref.read_bytes()
+        assert b"999999999999999999,1,loss,-" in path.read_bytes()
+        _assert_reads_back(path, ref_rows)
+
+    def test_crlf_split_across_read_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"slot_index,packet_id,event,cause\r\n0,0,replica,-\r\n12,0,decode,clean\r\n")
+        for size in range(1, 20):  # every split of the body, CR | LF among them
+            monkeypatch.setattr(craloha.engine, "_READ_BYTES", size)
+            assert craloha.engine.read_trace(path)["slot"].tolist() == [0, 12]
 
     def test_writer_peak_bytes_per_line(self, tmp_path, monkeypatch):
         # The writer's own traced peak on a 50k-slot SW irsa4 run at
@@ -402,3 +442,41 @@ class TestTraceEncoding:
         run_simulation(scheme, traffic, trace_path=path)  # warm-up: lazy imports and caches
         run_simulation(scheme, traffic, trace_path=path)
         assert peaks[-1] / path.read_bytes().count(b"\n") <= 17
+
+
+class TestTraceGrammar:
+    """The reader's ``np.loadtxt`` path keeps a file exactly when every line
+    matches the grammar, and otherwise the walk names the first line that
+    does not."""
+
+    LINES = (b"0,0,replica,-\r\n", b"3,0,decode,clean\n", b"12,1,decode,ic\r\n", b"999999999999999999,5,loss,-\n")
+    # bytes np.loadtxt parses or skips where the writer writes none
+    NOISE = (b" ", b"+", b"-", b"0", b"\0", b"\r", b"\n", b",", b'"', b"9", b"x", b"1234567890123456789", b"replica")
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.sampled_from(LINES), max_size=5),
+        st.lists(st.tuples(st.integers(0, 120), st.integers(0, 2), st.sampled_from(NOISE)), max_size=3),
+        st.sampled_from([1, 2, 7, 1 << 20]),
+    )
+    def test_fast_path_accepts_exactly_the_grammar(self, tmp_path_factory, lines, edits, read_bytes):
+        data = bytearray(b"slot_index,packet_id,event,cause\r\n" + b"".join(lines))
+        for pos, cut, noise in edits:
+            data[pos : pos + cut] = noise
+        path = tmp_path_factory.getbasetemp() / "grammar.csv"
+        path.write_bytes(data)
+        split = [ln + b"\n" for ln in bytes(data).split(b"\n")]
+        split[-1] = split[-1][:-1]  # the text after the last LF
+        forms = [craloha.engine._HEADER_LINE] + [craloha.engine._TRACE_LINE] * len(split)
+        bad = [n for n, (form, ln) in enumerate(zip(forms, split), 1) if ln and not form.fullmatch(ln)]
+        saved, craloha.engine._READ_BYTES = craloha.engine._READ_BYTES, read_bytes
+        try:
+            assert (craloha.engine._load_trace(path) is None) == bool(bad)
+            if bad:
+                with pytest.raises(craloha.engine.TraceError, match=f"line {bad[0]}:"):
+                    craloha.engine.read_trace(path)
+            else:
+                fields = [ln.rstrip(b"\r\n").split(b",") for ln in split[1:] if ln]
+                assert craloha.engine.read_trace(path).tolist() == [(int(s), int(p), e, c) for s, p, e, c in fields]
+        finally:
+            craloha.engine._READ_BYTES = saved
