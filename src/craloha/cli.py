@@ -130,6 +130,15 @@ def _parse_dist(raw: str) -> tuple[str, DegreeDistribution]:
     return raw, DegreeDistribution(tuple(entries))
 
 
+def _checked(parse, ok, rule: str):
+    """``parse``, then a ValueError stating ``rule`` unless ``ok(value)``."""
+    def parser(raw: str):
+        if not ok(value := parse(raw)):
+            raise ValueError(f"{rule}, got {value!r}")
+        return value
+    return parser
+
+
 _BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
 _REQUIRED = object()
 
@@ -144,16 +153,16 @@ _KEYS = {
     "total_slots": (int, _REQUIRED),
     "warmup": (int, None),
     "seed": (int, 0),
-    "replications": (int, 1),
+    "replications": (_checked(int, lambda v: v >= 1, "replications must be >= 1"), 1),
     "t_slot": (float, TimeConfig.slot_duration_ms),
     "t_p": (float, TimeConfig.propagation_delay_ms),
     "i_max": (int, SchemeConfig.max_ic_iterations),
-    "bin_width_ms": (float, 1.0),
+    "bin_width_ms": (_checked(float, lambda v: 0 < v < math.inf, "bin_width_ms must be > 0 and finite"), 1.0),
     "out": (str, "results"),
-    "format": (str, "csv"),
+    "format": (_checked(str, lambda v: v in ("csv", "json", "both"), "format must be csv, json or both"), "csv"),
     "hist": (lambda s: _BOOL[s.lower()], False),
     "timestamp": (lambda s: _BOOL[s.lower()], True),
-    "workers": (int, 1),
+    "workers": (_checked(int, lambda v: v >= 1, "workers must be >= 1"), 1),
 }
 
 
@@ -167,9 +176,10 @@ def _traffic(lam: float, total_slots: int, warmup: int, seed: int) -> TrafficCon
 def parse_config(text: str) -> ExperimentSpec:
     """Parse and validate flat key=value config text.
 
-    All problems are collected and reported together, each prefixed with its
-    line number; unknown keys are errors. Every (lambda, seed) point is
-    validated before the spec is returned, so no bad point is found midway
+    Every bad line, unknown or duplicate key, bad value and missing key is
+    collected and reported together, each line's problem prefixed with its
+    line number. Checks across keys and on every (lambda, seed) point then
+    run before the spec is returned, so no bad point is found midway
     through a sweep.
     """
     values: dict[str, object] = {}
@@ -215,8 +225,6 @@ def parse_config(text: str) -> ExperimentSpec:
             )
     if values["mode"] is AccessMode.SW and values["n_rx"] is None:
         raise ConfigError("missing required key 'n_rx' (required in SW mode)")
-    if values["replications"] < 1:
-        raise ConfigError(f"replications must be >= 1, got {values['replications']}")
     dist_name, dist = values["dist"]
     seeds = [values["seed"] + k for k in range(values["replications"])]
     scheme = SchemeConfig(values["mode"], window, dist, values["n_rx"], values["i_max"])
@@ -224,12 +232,6 @@ def parse_config(text: str) -> ExperimentSpec:
     traffic = tuple(
         tuple(_traffic(lam, total_slots, warmup, seed) for seed in seeds) for lam in values["lambda"]
     )
-    if values["format"] not in ("csv", "json", "both"):
-        raise ConfigError(f"format must be csv, json or both, got {values['format']!r}")
-    if values["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {values['workers']}")
-    if not 0 < values["bin_width_ms"] < math.inf:
-        raise ConfigError(f"bin_width_ms must be > 0 and finite, got {values['bin_width_ms']}")
     return ExperimentSpec(
         scheme=scheme,
         time=time,
@@ -343,12 +345,12 @@ def run_sweep(spec: ExperimentSpec) -> list[dict]:
     """
     run = partial(_run_point, spec.scheme, spec.time, spec.bin_width_ms)
     jobs = [t for row in spec.traffic for t in row]
-    if spec.workers > 1:
+    # The pool may start all its workers at the first submit, so it gets at
+    # most one per point, and a single point runs in this process.
+    if (workers := min(spec.workers, len(jobs))) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        # The pool may start all its workers at the first submit, so a
-        # worker count above the number of points would start idle ones.
-        with ProcessPoolExecutor(max_workers=min(spec.workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             points = list(pool.map(run, jobs))
     else:
         points = [run(t) for t in jobs]

@@ -10,7 +10,6 @@ the delay-support invariants as hard postconditions.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .analytics import delay_support_slots
 from .decoder import PeelOutcome, peel
 from .model import AccessMode, SchemeConfig, TimeConfig, TrafficConfig, sample_degrees
-from .placement import last_decode_slot, place_replicas, tx_frame_start
+from .placement import last_decode_slot, place_replicas
 
 
 class SimulationInvariantError(RuntimeError):
@@ -87,15 +86,16 @@ def generate_arrivals(cfg: TrafficConfig, rng: np.random.Generator) -> np.ndarra
 
 
 def drain_end_slot(scheme: SchemeConfig, traffic: TrafficConfig) -> int:
-    """Exclusive end of the simulated slot range, drain included.
+    """Exclusive end of the simulated slot range, drain included: one past
+    the slot in which a packet ready at the last arrival slot is finalized."""
+    return _finalized_at(scheme, last_decode_slot(scheme, traffic.total_slots - 1)) + 1
 
-    SW drains N_rx arrival-free slots. FR drains to the end of the frame a
-    packet ready at the last arrival slot would transmit in (exactly N_f
-    extra slots when total_slots is frame-aligned).
-    """
-    if scheme.mode is AccessMode.FR:
-        return tx_frame_start(traffic.total_slots - 1, scheme.window_slots) + scheme.window_slots
-    return traffic.total_slots + scheme.receiver_memory_slots
+
+def _finalized_at(scheme: SchemeConfig, last):
+    """The slot in which a packet still undecoded at its last decode slot
+    ``last`` is lost: that slot in FR, whose frame closes at its end; the
+    next in SW, whose ingestion evicts the packet."""
+    return last + (scheme.mode is AccessMode.SW)
 
 
 def run_simulation(
@@ -113,19 +113,14 @@ def run_simulation(
     flat, offsets = place_replicas(scheme, arrival_slots, degrees, rng)
     del arrivals, degrees  # unused from here on; freed before the peel's peak
 
-    fr = scheme.mode is AccessMode.FR
     end_slot = drain_end_slot(scheme, traffic)
-    first = flat[offsets[:-1]]
-    last = last_decode_slot(scheme, first)
+    last = last_decode_slot(scheme, arrival_slots)
     outcome = peel(flat, offsets, last, end_slot, i_max=scheme.max_ic_iterations)
     # The drain outlasts every packet's restorability, so each undecoded
     # packet has been lost by the last slot; the postconditions check it.
-    lost = outcome.decode_slots < 0
-    # An SW packet is evicted when the slot after its last one is ingested,
-    # an FR packet lost when its frame closes at the end of its last slot.
-    lost_at = np.where(lost, last + (not fr), -1)
+    lost_at = np.where(outcome.decode_slots < 0, _finalized_at(scheme, last), -1)
     if trace_path is not None:
-        _write_trace(trace_path, flat, offsets, outcome, lost_at, fr)
+        _write_trace(trace_path, flat, offsets, outcome, lost_at, scheme.mode is AccessMode.FR)
 
     result = RunResult(
         scheme=scheme,
@@ -136,7 +131,7 @@ def run_simulation(
         replica_offsets=offsets,
         decode_slots=outcome.decode_slots,
     )
-    _check_postconditions(result, first, lost_at, end_slot)
+    _check_postconditions(result, lost_at, end_slot)
     return result
 
 
@@ -250,23 +245,25 @@ def _load_trace(path):
     NULs, all longer than the writer's. So the rows stand when there is one per
     LF, ids have at most 18 digits, and the writer's lines for them, with the
     file's line ends and no bytes for an unknown tail, fill the file exactly."""
-    lf, crlf, last = 0, 0, b""
+    lf, cr, crlf, last = 0, 0, 0, b""
     with open(path, "rb") as fh:
         header = fh.readline()
         while chunk := fh.read(_READ_BYTES):
             b = np.frombuffer(chunk, dtype=np.uint8)
-            is_lf = b == 10
+            is_lf, is_cr = b == 10, b == 13
             lf += np.count_nonzero(is_lf)
+            cr += np.count_nonzero(is_cr)
             # a CRLF split across two chunks counts too
-            crlf += np.count_nonzero((b[:-1] == 13) & is_lf[1:]) + (last == b"\r" and b[0] == 10)
+            crlf += np.count_nonzero(is_cr[:-1] & is_lf[1:]) + (last == b"\r" and b[0] == 10)
             last = chunk[-1:]
         size = fh.tell()
-    try:
-        with warnings.catch_warnings():  # loadtxt warns when the body is empty
-            warnings.simplefilter("ignore", UserWarning)
+    # a body of line ends alone holds no row, and loadtxt would warn of that
+    rows = np.empty(0, _TRACE_DTYPE)
+    if lf + cr < size - len(header):
+        try:
             rows = np.loadtxt(path, _TRACE_DTYPE, delimiter=",", comments=None, ndmin=1, skiprows=1)
-    except ValueError:
-        return None
+        except ValueError:
+            return None
     slot, pid = rows["slot"], rows["pid"]
     event, cause = rows["event"].view(np.uint64), rows["cause"].view(np.uint64)
     # a row matches at most one tail, as the tails are distinct
@@ -279,11 +276,11 @@ def _load_trace(path):
     return rows if valid and len(rows) == lf and written == size else None
 
 
-def _check_postconditions(r: RunResult, first: np.ndarray, lost_at: np.ndarray, end_slot: int) -> None:
+def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> None:
     decoded = r.decoded_mask()
     if bool(np.any(lost_at >= end_slot)):
         raise SimulationInvariantError("conservation violated: packet restorable past the drain")
-    if bool(np.any(r.decode_slots[decoded] < first[decoded])):
+    if bool(np.any(r.decode_slots[decoded] < r.replica_flat[r.replica_offsets[:-1][decoded]])):
         raise SimulationInvariantError("decode before first replica slot")
     # Delay support, asserted on every run.
     diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1

@@ -19,18 +19,16 @@ def tx_frame_start(arrival_slots, frame_length: int):
     return frame_length * (arrival_slots // frame_length + 1)
 
 
-def last_decode_slot(scheme: SchemeConfig, first_slots):
-    """Last slot at whose end a packet with first replica in ``first_slots``
-    can still resolve (elementwise for an array): the receiver rule.
+def last_decode_slot(scheme: SchemeConfig, ready_slots):
+    """Last slot at whose end a packet ready at ``ready_slots`` can still
+    resolve (elementwise for an array): the receiver rule.
 
-    SW keeps a packet restorable while its first replica slot is among the
-    N_rx most recent slots, so through ``first + N_rx - 1``; FR keeps it
-    through the last slot of its frame.
+    A packet stays restorable for N_rx slots from its transmission start,
+    so through ``start + N_rx - 1``. The start is the ready slot in SW and
+    the next frame start in FR, whose N_rx is the frame length.
     """
-    if scheme.mode is AccessMode.FR:
-        n_f = scheme.window_slots
-        return first_slots - first_slots % n_f + n_f - 1
-    return first_slots + scheme.receiver_memory_slots - 1
+    start = tx_frame_start(ready_slots, scheme.window_slots) if scheme.mode is AccessMode.FR else ready_slots
+    return start + scheme.receiver_memory_slots - 1
 
 
 def place_replicas(

@@ -179,6 +179,14 @@ class TestFailFast:
         assert "config error" in err and message in err
         assert not list(tmp_path.glob("res*"))
 
+    def test_bad_front_end_values_are_collected_by_line(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(self.BASE + "lambda=0.1\nreplications=0\nformat=xml\n")
+        assert str(info.value).splitlines() == [
+            "line 7: bad value for 'replications': replications must be >= 1, got 0",
+            "line 8: bad value for 'format': format must be csv, json or both, got 'xml'",
+        ]
+
     def test_bad_required_value_is_not_also_missing(self):
         with pytest.raises(ConfigError) as info:
             parse_config(self.BASE + "lambda=0.5:0.1:0.1\n")
@@ -267,6 +275,9 @@ class TestSweepCommand:
         assert sizes == [2]
         for suffix in ("_summary.csv", "_summary.json"):
             assert (tmp_path / f"many{suffix}").read_bytes() == (tmp_path / f"one{suffix}").read_bytes()
+        # one point runs in this process: no pool
+        run_sweep(parse_config(base.replace("0.3,0.5", "0.3") + f"out={tmp_path}/single\nworkers=4\n"))
+        assert sizes == [2]
 
     def test_hist_files(self, tmp_path):
         text = (

@@ -14,6 +14,7 @@ from craloha import (
     TimeConfig,
     TrafficConfig,
     loss_rate,
+    oracle_decode,
     run_simulation,
     throughput,
 )
@@ -108,6 +109,54 @@ class TestGoldenDigest:
         capped = ("SW", 50, 150, "irsa8", 0.8, 1, 18)
         uncapped = capped[:5] + (50,) + capped[6:]
         assert _digest(_golden_run(*capped)) != _digest(_golden_run(*uncapped))
+
+
+def _sw_run(dist, lam, seed, n_rx=500, i_max=50):
+    """One 20k-slot SW run on a 100-slot window, shared by the relations."""
+    scheme = make_scheme("SW", window=100, dist=dist, n_rx=n_rx, i_max=i_max)
+    return run_simulation(scheme, make_traffic(lam=lam, total=20_000, seed=seed))
+
+
+_SW_POINTS = [(d, lam, seed) for d, lam in (("crdsa2", 0.6), ("irsa8", 0.85), ("irsa4", 0.8)) for seed in (1, 2)]
+
+
+def _nested(runs):
+    """Each run's decoded set contains the previous run's."""
+    return all(np.all(b.decoded_mask()[a.decoded_mask()]) for a, b in zip(runs, runs[1:]))
+
+
+class TestMetamorphic:
+    """Exact relations between whole runs that need no second decoder."""
+
+    @pytest.mark.parametrize("dist,lam,seed", _SW_POINTS)
+    def test_sw_monotone_in_receiver_memory(self, dist, lam, seed):
+        # Placement never reads N_rx, and a packet ready at slot r stays
+        # restorable through r + N_rx - 1: more memory only moves deadlines
+        # later, so, with the i_max cap not binding on these points, no
+        # decode is lost and none comes later.
+        runs = [_sw_run(dist, lam, seed, n_rx) for n_rx in (100, 200, 500, 10**6)]
+        assert all(np.array_equal(r.replica_flat, runs[0].replica_flat) for r in runs)
+        assert _nested(runs)
+        for a, b in zip(runs, runs[1:]):
+            ok = a.decoded_mask()
+            assert np.all(b.decode_slots[ok] <= a.decode_slots[ok])
+
+    @pytest.mark.parametrize("dist,lam,seed", _SW_POINTS)
+    def test_sw_memory_over_the_horizon_matches_oracle(self, dist, lam, seed):
+        r = _sw_run(dist, lam, seed, 10**6)
+        assert np.array_equal(r.decoded_mask(), oracle_decode(r.replica_flat, r.replica_offsets))
+
+    @pytest.mark.parametrize("case", [c for c in GOLDEN if c[0] == "FR"], ids=lambda c: "-".join(map(str, c)))
+    def test_fr_matches_oracle(self, case):
+        # Frames share no slot and each packet's deadline is its frame's end.
+        r = _golden_run(*case)
+        assert np.array_equal(r.decoded_mask(), oracle_decode(r.replica_flat, r.replica_offsets))
+
+    @pytest.mark.parametrize("dist,lam,seed", _SW_POINTS)
+    def test_sw_nested_in_iteration_cap(self, dist, lam, seed):
+        # Observed, not derived: a higher cap has decoded a superset on
+        # every point tried, but nothing in the receiver rule implies it.
+        assert _nested([_sw_run(dist, lam, seed, i_max=i_max) for i_max in (1, 2, 3, 50)])
 
 
 class TestZeroTraffic:

@@ -41,18 +41,19 @@ class TestFrameGrid:
 
 class TestLastDecodeSlot:
     def test_fr_frame_last_slot(self):
+        # ready in frame 0 transmits in frame 1, restorable to its last slot
         scheme = make_scheme("FR", window=100)
-        assert last_decode_slot(scheme, 100) == last_decode_slot(scheme, 199) == 199
-        assert last_decode_slot(scheme, 200) == 299
+        assert last_decode_slot(scheme, 0) == last_decode_slot(scheme, 99) == 199
+        assert last_decode_slot(scheme, 100) == 299
 
     def test_sw_memory_span(self):
         assert last_decode_slot(make_scheme("SW", window=100, n_rx=500), 7) == 506
 
     def test_elementwise(self):
         fr, sw = make_scheme("FR", window=100), make_scheme("SW", window=100, n_rx=500)
-        first = np.array([100, 199, 200, 7])
-        assert last_decode_slot(fr, first).tolist() == [199, 199, 299, 99]
-        assert last_decode_slot(sw, first).tolist() == [599, 698, 699, 506]
+        ready = np.array([0, 99, 100, 7])
+        assert last_decode_slot(fr, ready).tolist() == [199, 199, 299, 199]
+        assert last_decode_slot(sw, ready).tolist() == [499, 598, 599, 506]
 
 
 class TestPlaceFr:
