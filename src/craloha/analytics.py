@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from .decoder import distinct
 from .model import AccessMode, SchemeConfig
 
 
@@ -128,3 +127,16 @@ def oracle_decode(replica_flat, replica_offsets) -> np.ndarray:
     if len(bad):
         raise RuntimeError(f"fixpoint residual is not a stopping set: singleton slots {bad.tolist()}")
     return decoded
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values by one sort: ``np.unique`` without
+    ``return_inverse`` hashes on numpy >= 2.3, which took 4.2 ms against
+    0.25 ms for this on 20k int64 values, and 24 ms against 1 ms on the
+    90k replica keys of a 50k-slot trace. That path also calls
+    ``np.ma.is_masked``, whose import of ``numpy.ma`` costs a fresh process
+    13-15 ms and 1.3 MB."""
+    v = np.sort(values)
+    keep = np.ones(len(v), dtype=bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]

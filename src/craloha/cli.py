@@ -42,8 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import oracle_decode, p_uins_fr, p_uins_fr_terms, p_uins_sw, p_uins_sw_terms
-from .decoder import distinct
+from .analytics import distinct, oracle_decode, p_uins_fr, p_uins_fr_terms, p_uins_sw, p_uins_sw_terms
 from .engine import TraceError, read_trace, run_simulation
 from .metrics import delay_distribution, loss_rate, throughput
 from .model import (

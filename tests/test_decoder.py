@@ -1,10 +1,17 @@
 import heapq
+import os
+import shutil
+import subprocess
+import sys
+import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import craloha.decoder
 from craloha.decoder import peel
 from craloha.engine import generate_arrivals
 from craloha.model import sample_degrees
@@ -58,6 +65,28 @@ class TestIngest:
     def test_last_slot_before_first_replica_rejected(self):
         with pytest.raises(ValueError, match="before its first replica slot"):
             peel(np.array([0, 3, 5]), np.array([0, 1, 3]), np.array([0, 2]), 6)
+
+    @pytest.mark.parametrize(
+        "flat, offsets, last, message",
+        [
+            ([0, 3, 5], [1, 3], [9], r"packet 0: replica_offsets must run from 0 to len\(replica_flat\) = 3"),
+            ([0, 3, 5], [0, 1, 2], [9, 9], r"packet 1: replica_offsets must run from 0 to len\(replica_flat\) = 3"),
+            ([0, 3, 5], [0, 0, 3], [9, 9], "packet 0 has no replica slots"),
+            ([0, 3, 5], [0, 2, 1, 3], [9, 9, 9], "packet 1 has no replica slots"),
+            ([0, 5, 3], [0, 1, 3], [9, 9], "packet 1 has replica slots not strictly ascending: 3 after 5"),
+            ([0, 4, 4], [0, 1, 3], [9, 9], "packet 1 has replica slots not strictly ascending: 4 after 4"),
+            ([0, -2, 4], [0, 1, 3], [9, 9], "packet 1 has negative replica slot -2"),
+            ([0, 3, 5], [0, 1, 3], [9], "last_slots has 1 entries for 2 packets"),
+        ],
+        ids=[
+            "offsets-start", "offsets-end", "empty-row", "offsets-descend", "unsorted", "repeated", "negative", "short-last"
+        ],
+    )
+    def test_malformed_input_names_first_bad_packet(self, flat, offsets, last, message):
+        # the compiled loop indexes its buffers by these values unchecked; a
+        # repeated slot would also cancel itself out of the slot's XOR
+        with pytest.raises(ValueError, match=message):
+            peel(np.array(flat), np.array(offsets), np.array(last), 10)
 
     def test_iteration_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="i_max"):
@@ -353,3 +382,51 @@ class TestFrameReset:
         fed = feed({1: (0, 1), 2: (1, 2)}, 4, frame_scoped=True, n_slots=4)
         assert set(fed.decode_slot) == {1, 2}
         assert fed.lost == {}
+
+
+def _fresh_package(root):
+    """A copy of the craloha package under ``root`` with no compiled loop."""
+    pkg = root / "craloha"
+    shutil.copytree(Path(craloha.decoder.__file__).parent, pkg, ignore=shutil.ignore_patterns("__pycache__"))
+    return pkg
+
+
+def _python(root, code):
+    """Start ``python -c code`` importing craloha from ``root`` only."""
+    env = {**os.environ, "PYTHONPATH": str(root)}
+    pipe = subprocess.PIPE
+    return subprocess.Popen([sys.executable, "-c", code], cwd=root, env=env, stdout=pipe, stderr=pipe, text=True)
+
+
+class TestLoader:
+    """The compiled loop is built on first import, in fresh processes."""
+
+    def test_missing_compiler_names_the_command(self, tmp_path):
+        pkg = _fresh_package(tmp_path)
+        code = "import sysconfig; sysconfig.get_config_vars()['CC'] = '/nonexistent/cc'; import craloha.decoder"
+        _, err = _python(tmp_path, code).communicate(timeout=60)
+        assert "ImportError: craloha.decoder needs a C compiler; `/nonexistent/cc -O2" in err
+        assert not list((pkg / "__pycache__").glob("peel.*"))
+
+    def test_concurrent_first_imports_leave_one_library(self, tmp_path):
+        pkg = _fresh_package(tmp_path)
+        # both start importing at the same moment, so their compiles overlap
+        code = f"import time; time.sleep(max(0, {time.time() + 0.5} - time.time())); import craloha.decoder"
+        procs = [_python(tmp_path, code) for _ in range(2)]
+        for proc in procs:
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 0, err
+        assert len(list((pkg / "__pycache__").glob("peel.*"))) == 1
+
+    def test_edited_source_never_loads_a_stale_library(self, tmp_path):
+        pkg = _fresh_package(tmp_path)
+        assert _python(tmp_path, "import craloha.decoder").wait(timeout=60) == 0
+        (stale,) = (pkg / "__pycache__").glob("peel.*")
+        stale.write_bytes(b"not a library")  # loading it would raise
+        with open(pkg / "peel.c", "a") as fh:
+            fh.write("/* edited */\n")
+        code = "from craloha.decoder import peel; print(peel([0], [0, 1], [0], 1).order)"
+        out, err = _python(tmp_path, code).communicate(timeout=60)
+        assert out == "[0]\n", err
+        libs = list((pkg / "__pycache__").glob("peel.*"))
+        assert len(libs) == 2 and stale in libs

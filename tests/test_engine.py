@@ -188,6 +188,26 @@ class TestPeakMemory:
         assert peak / len(r.replica_flat) <= 50
 
 
+class TestDrainMemory:
+    def test_peak_independent_of_receiver_memory(self):
+        # A longer memory lengthens the SW drain past the last replica slot
+        # but decodes the same 61,061 replicas, so the decoder's per-slot
+        # buffers must end at the last replica slot: sized to the drain, they
+        # would take about 250 MB at N_rx=10^7.
+        traffic = make_traffic(lam=0.85, total=20_000, seed=1)
+        peaks = []
+        for n_rx in (500, 10**7):
+            scheme = make_scheme("SW", window=100, dist="irsa8", n_rx=n_rx)
+            run_simulation(scheme, traffic)  # warm-up: lazy imports and caches
+            tracemalloc.start()
+            try:
+                run_simulation(scheme, traffic)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0]
+
+
 class TestConservation:
     @pytest.mark.parametrize("mode,dist", [("SW", "crdsa2"), ("SW", "irsa8"), ("FR", "irsa4")])
     def test_every_packet_finalized(self, mode, dist):
