@@ -59,17 +59,18 @@ class RunResult:
     def decoded_mask(self) -> np.ndarray:
         return self.decode_slots >= 0
 
-    def delays_ms(self) -> np.ndarray:
-        """Per-packet delivery delay in ms; NaN for lost packets.
+    def delay_slots(self) -> np.ndarray:
+        """Per-packet delay in whole slots, ``decode_slot - ready_slot + 1``:
+        from the start of the ready slot (FR frame waiting included) to the
+        end of the slot whose peel resolved the packet. Meaningless for lost
+        packets."""
+        return self.decode_slots - self.arrival_slots + 1
 
-        Counted from the ready slot (FR frame waiting included) to the end of
-        the slot whose peel resolved the packet, plus one-way propagation.
-        """
+    def delays_ms(self) -> np.ndarray:
+        """Per-packet delivery delay in ms; NaN for lost packets."""
         d = np.full(self.n_packets, np.nan)
         ok = self.decoded_mask()
-        d[ok] = self.time.propagation_delay_ms + (
-            self.decode_slots[ok] - self.arrival_slots[ok] + 1
-        ) * self.time.slot_duration_ms
+        d[ok] = self.time.delay_ms(self.delay_slots()[ok])
         return d
 
 
@@ -283,7 +284,7 @@ def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> N
     if bool(np.any(r.decode_slots[decoded] < r.replica_flat[r.replica_offsets[:-1][decoded]])):
         raise SimulationInvariantError("decode before first replica slot")
     # Delay support, asserted on every run.
-    diff = r.decode_slots[decoded] - r.arrival_slots[decoded] + 1
+    diff = r.delay_slots()[decoded]
     lo, hi = delay_support_slots(r.scheme)
     out = (diff < lo) | (diff > hi)
     if bool(out.any()):

@@ -43,6 +43,11 @@ class TimeConfig:
         if not 0 <= self.propagation_delay_ms < math.inf:
             raise ConfigError(f"propagation_delay_ms must be >= 0 and finite, got {self.propagation_delay_ms}")
 
+    def delay_ms(self, slots):
+        """Delivery delay in ms of a packet resolved ``slots`` whole slots
+        after it became ready, one-way propagation included."""
+        return self.propagation_delay_ms + slots * self.slot_duration_ms
+
 
 @dataclass(frozen=True)
 class DegreeDistribution:

@@ -172,10 +172,10 @@ class TestZeroTraffic:
 class TestPeakMemory:
     @pytest.mark.parametrize("mode,n_rx", [("SW", 500), ("FR", None)])
     def test_peak_bytes_per_replica(self, mode, n_rx):
-        # Placement and peeling work in the run's int64 arrays, the peel's
-        # loop adding one Python int per slot; a Python int per replica (a
-        # list of ids or slots) alone would cost 40 B. The count is
-        # deterministic: about 33 B (SW) and 39 B (FR) per replica.
+        # Placement and peeling work in numpy arrays alone; a Python int per
+        # replica (a list of ids or slots) would by itself cost 40 B. The
+        # count is deterministic: about 28.4 B (SW) and 29.5 B (FR) per
+        # replica.
         scheme = make_scheme(mode, window=100, dist="irsa8", n_rx=n_rx)
         traffic = make_traffic(lam=0.8, total=20_000, seed=3)
         run_simulation(scheme, traffic)  # warm-up: lazy imports and caches

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from craloha import (
+    DegreeDistribution,
     TimeConfig,
     cdf_at,
     delay_distribution,
@@ -9,6 +12,7 @@ from craloha import (
     run_simulation,
     throughput,
 )
+from craloha.analytics import delay_support_slots
 from craloha.engine import RunResult
 from craloha.model import TrafficConfig
 
@@ -132,3 +136,53 @@ class TestCdfAt:
         d = delay_distribution(run_simulation(scheme, traffic))
         assert cdf_at(d, 251.0) == 0.0
         assert cdf_at(d, 450.0) == 1.0
+
+
+# (mode, window, n_rx, dist, lambda, seed): SW with a saturated memory, FR,
+# a degree-1 SW point and an IRSA point past its peak.
+_POINTS = [
+    ("SW", 100, 500, "irsa8", 0.85, 1),
+    ("FR", 100, None, "crdsa2", 0.6, 2),
+    ("SW", 1, 10, DegreeDistribution(((1, 1.0),)), 0.5, 3),
+    ("SW", 20, 60, "irsa4", 1.2, 1),
+]
+_TIMES = [TimeConfig(), TimeConfig(0.37, 12.3), TimeConfig(2.0, 0.0)]
+
+
+class TestCountsMatchPerPacketReference:
+    """The distribution from counts per distinct slot delay equals the one
+    from the sorted per-packet delays of ``RunResult.delays_ms``."""
+
+    @pytest.fixture(scope="class", params=_POINTS, ids=lambda p: f"{p[0]}{p[1]}-{p[4]}")
+    def run(self, request):
+        mode, window, n_rx, dist, lam, seed = request.param
+        scheme = make_scheme(mode, window=window, dist=dist, n_rx=n_rx)
+        return run_simulation(scheme, make_traffic(lam=lam, total=20_000, seed=seed, window=window))
+
+    @pytest.mark.parametrize("time", _TIMES, ids=lambda t: f"{t.slot_duration_ms}/{t.propagation_delay_ms}")
+    @pytest.mark.parametrize("width", [0.3, 1.0, 2.5, 10.0])
+    def test_equal_to_reference(self, run, time, width):
+        r = dataclasses.replace(run, time=time)
+        d = delay_distribution(r, bin_width_ms=width)
+        ref = np.sort(r.delays_ms()[r.measurement_mask() & r.decoded_mask()])
+        n = len(ref)
+        k = np.floor(ref / width).astype(np.int64)
+        assert d.n_decoded == n > 0
+        assert d.counts.dtype == np.int64
+        assert np.array_equal(d.counts, np.bincount(k - k[0]))
+        assert np.array_equal(d.lower_edges_ms, np.arange(k[0], k[-1] + 1) * width)
+        assert np.array_equal(d.pdf, d.counts / n)
+        assert np.array_equal(d.cdf, np.cumsum(d.counts / n))
+        for q, v in d.quantiles.items():
+            assert v == np.quantile(ref, q, method="inverted_cdf")
+        for t in [0.0, 1e9, *np.unique(ref), *(np.unique(ref) - 1e-9), *(np.unique(ref) + 1e-9)]:
+            assert cdf_at(d, t) == np.searchsorted(ref, t, side="right") / n
+        integer_timing = time.slot_duration_ms.is_integer() and time.propagation_delay_ms.is_integer()
+        assert d.mean_ms == (ref.mean() if integer_timing else pytest.approx(ref.mean(), rel=1e-15))
+        # no array grows with the packet count: one entry per distinct
+        # delay, and the histogram spans at most the support's bins
+        lo, hi = delay_support_slots(r.scheme)
+        assert len(d.distinct_ms) == len(d.cum_counts) <= hi
+        bins = int(time.delay_ms(hi) // width - time.delay_ms(lo) // width) + 1
+        for a in (d.lower_edges_ms, d.counts, d.pdf, d.cdf):
+            assert len(a) <= max(hi, bins)
