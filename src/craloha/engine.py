@@ -28,8 +28,8 @@ class SimulationInvariantError(RuntimeError):
 class RunResult:
     """Finalized per-packet outcomes plus the configuration echo.
 
-    Packet fields are stored columnar (decode_slots holds -1 for lost
-    packets). Packet ``p``'s replica slots are
+    Packet fields are stored columnar, ascending in ``arrival_slots``
+    (decode_slots holds -1 for lost packets). Packet ``p``'s replica slots are
     ``replica_flat[replica_offsets[p]:replica_offsets[p+1]]``, ascending.
     """
 
@@ -75,15 +75,15 @@ class RunResult:
 
 
 def generate_arrivals(cfg: TrafficConfig, rng: np.random.Generator) -> np.ndarray:
-    """Independent Poisson(mean_arrival_rate) arrival count per slot, as an
-    int64 array of length total_slots.
-
-    Arrivals are attributed to slot starts: a packet counted in slot s is
-    ready at the start of s (in SW mode its first replica goes into slot s).
-    numpy's Poisson sampler is exact (inversion / transformed rejection),
-    not a normal approximation, so the tail is faithful at high rates.
-    """
-    return rng.poisson(cfg.mean_arrival_rate, size=cfg.total_slots).astype(np.int64, copy=False)
+    """The run's ready slots, one int64 per packet, ascending: a
+    Poisson(mean_arrival_rate * total_slots) total of uniform draws over
+    [0, total_slots), sorted. Exact: given its total, a Poisson process's
+    arrivals are i.i.d. uniform, so each slot's count is still i.i.d.
+    Poisson(mean_arrival_rate). A packet in slot s is ready at the start of s
+    (in SW mode its first replica goes into slot s)."""
+    slots = rng.integers(0, cfg.total_slots, rng.poisson(cfg.mean_arrival_rate * cfg.total_slots))
+    slots.sort()
+    return slots
 
 
 def drain_end_slot(scheme: SchemeConfig, traffic: TrafficConfig) -> int:
@@ -107,12 +107,10 @@ def run_simulation(
 ) -> RunResult:
     """Simulate one run; deterministic given the configs and seed."""
     rng = np.random.default_rng(traffic.rng_seed)
-    arrivals = generate_arrivals(traffic, rng)
-    n_packets = int(arrivals.sum())
-    degrees = sample_degrees(scheme.degree_distribution, rng, n_packets)
-    arrival_slots = np.repeat(np.arange(traffic.total_slots, dtype=np.int64), arrivals)
+    arrival_slots = generate_arrivals(traffic, rng)
+    degrees = sample_degrees(scheme.degree_distribution, rng, len(arrival_slots))
     flat, offsets = place_replicas(scheme, arrival_slots, degrees, rng)
-    del arrivals, degrees  # unused from here on; freed before the peel's peak
+    del degrees  # unused from here on; freed before the peel's peak
 
     end_slot = drain_end_slot(scheme, traffic)
     last = last_decode_slot(scheme, arrival_slots)
@@ -281,14 +279,14 @@ def _check_postconditions(r: RunResult, lost_at: np.ndarray, end_slot: int) -> N
     decoded = r.decoded_mask()
     if bool(np.any(lost_at >= end_slot)):
         raise SimulationInvariantError("conservation violated: packet restorable past the drain")
-    if bool(np.any(r.decode_slots[decoded] < r.replica_flat[r.replica_offsets[:-1][decoded]])):
+    if bool(np.any(decoded & (r.decode_slots < r.replica_flat[r.replica_offsets[:-1]]))):
         raise SimulationInvariantError("decode before first replica slot")
     # Delay support, asserted on every run.
-    diff = r.delay_slots()[decoded]
+    diff = r.delay_slots()
     lo, hi = delay_support_slots(r.scheme)
-    out = (diff < lo) | (diff > hi)
+    out = decoded & ((diff < lo) | (diff > hi))
     if bool(out.any()):
         raise SimulationInvariantError(
-            f"delay support violated for packets {np.flatnonzero(decoded)[out][:5].tolist()} "
+            f"delay support violated for packets {np.flatnonzero(out)[:5].tolist()} "
             f"(mode={r.scheme.mode.value}, diffs={diff[out][:5].tolist()})"
         )

@@ -10,9 +10,10 @@ Two checks encode comparison targets that this model misses by a small,
 well-understood margin and are expected to fail; their assertion messages
 carry the measured values:
   - test_c03_memory_double_window_overtakes_framed (peak-to-peak comparison;
-    the overtake holds pointwise at moderate load but not peak-to-peak),
+    the overtake holds pointwise at moderate load but not peak-to-peak:
+    SW@200 peaks at 0.5124, FR at 0.5171),
   - test_c07_delay_cdf_dominance (measured crossover ~427 ms vs the required
-    440 ms).
+    440 ms: 14 violations, the worst -0.0262).
 """
 
 import math
@@ -194,7 +195,7 @@ def test_c03_memory_double_window_overtakes_framed(memory_peaks):
 
     Known gap: SW@200 rides above FR for moderate load but FR's peak near
     lambda=0.65 is slightly higher; the measured peak difference is about
-    -0.002, so this comparison fails by a hair.
+    -0.005 (SW@200 0.5124 vs FR 0.5171), so this comparison fails by a hair.
     """
     ok = memory_peaks[200] >= memory_peaks["FR"]
     assert _report(

@@ -104,7 +104,7 @@ class TestBuffers:
     def test_read_only_inputs_decode_unchanged(self):
         scheme = make_scheme("SW", window=50, dist="irsa8", n_rx=150, i_max=2)
         rng = np.random.default_rng(8)
-        arrivals = np.repeat(np.arange(3_000), generate_arrivals(make_traffic(lam=0.8, total=3_000), rng))
+        arrivals = generate_arrivals(make_traffic(lam=0.8, total=3_000), rng)
         flat, offsets = place_replicas(scheme, arrivals, sample_degrees(scheme.degree_distribution, rng, len(arrivals)), rng)
         last = flat[offsets[:-1]] + 149
         ref = peel(flat.copy(), offsets.copy(), last.copy(), 3_150, i_max=2)
@@ -307,8 +307,8 @@ class TestAgainstSlotBySlotReference:
         traffic = make_traffic(lam, total=3000, seed=3, window=window)
         rng = np.random.default_rng(traffic.rng_seed)
         arrivals = generate_arrivals(traffic, rng)
-        degrees = sample_degrees(scheme.degree_distribution, rng, int(arrivals.sum()))
-        flat, offsets = place_replicas(scheme, np.repeat(np.arange(3000), arrivals), degrees, rng)
+        degrees = sample_degrees(scheme.degree_distribution, rng, len(arrivals))
+        flat, offsets = place_replicas(scheme, arrivals, degrees, rng)
         placements = {p: tuple(flat[offsets[p] : offsets[p + 1]].tolist()) for p in range(len(offsets) - 1)}
         capacity = n_rx or window
         fed = feed(placements, capacity, frame_scoped=mode == "FR", i_max=i_max, n_slots=3000 + capacity)

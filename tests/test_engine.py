@@ -58,28 +58,28 @@ def _digest(r):
 # (crdsa2 on 100 slots, degree 1), placement makes one uniform draw per row
 # in packet order, or none, so their digests pin that part of the stream.
 GOLDEN = {
-    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "eb7e504cd316a5d3",
-    ("FR", 100, None, "irsa8", 0.7, 50, 12): "e06ac5a44e3f8204",
-    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "46047a6bcb7860bc",
-    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "2739db7eb6f2c319",
-    ("FR", 20, None, "irsa8", 0.6, 50, 15): "090603aabd52c254",
-    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "52d4bb1da364b0d5",
-    ("SW", 1, 10, "deg1", 1.0, 50, 17): "69fc3e8a16fa0a28",
-    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "0b63a6cd76aaa286",
+    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "3e3ce50a529ce758",
+    ("FR", 100, None, "irsa8", 0.7, 50, 12): "86e5c64e9d043aaa",
+    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "763d39f0b95c0ee0",
+    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "c92f3c93aeaae34f",
+    ("FR", 20, None, "irsa8", 0.6, 50, 15): "b98644adb676b503",
+    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "ba188b6d147d4c7a",
+    ("SW", 1, 10, "deg1", 1.0, 50, 17): "40713f13119641df",
+    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "85a9242f846e5355",
 }
 
 
 # The same configs -> sha256 prefix of the --trace CSV, which also pins the
 # resolution order, the clean/ic cause of each decode and the loss rows.
 GOLDEN_TRACE = {
-    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "cc2275ed27957834",
-    ("FR", 100, None, "irsa8", 0.7, 50, 12): "a3e6e1a5849bc8e0",
-    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "6b8632c410cbd463",
-    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "c2f0bd22bc90ec64",
-    ("FR", 20, None, "irsa8", 0.6, 50, 15): "d9358c6f6325922f",
-    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "caff888b5d36fbfe",
-    ("SW", 1, 10, "deg1", 1.0, 50, 17): "82a981de90a0e131",
-    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "fd31d0189d907d68",
+    ("FR", 100, None, "crdsa2", 0.55, 50, 11): "62f5de7772afe703",
+    ("FR", 100, None, "irsa8", 0.7, 50, 12): "c73cc6703cdd635b",
+    ("SW", 100, 300, "crdsa2", 0.55, 50, 13): "19bdf9f21f2fdbfd",
+    ("SW", 100, 500, "irsa8", 0.8, 50, 14): "eafb340a236c379d",
+    ("FR", 20, None, "irsa8", 0.6, 50, 15): "e078041580fb790a",
+    ("SW", 5, 15, "crdsa2", 0.4, 50, 16): "335f36a8ef70cc01",
+    ("SW", 1, 10, "deg1", 1.0, 50, 17): "c10f2d55d8e32868",
+    ("SW", 50, 150, "irsa8", 0.8, 1, 18): "87164edd698cb04a",
 }
 
 
