@@ -1,21 +1,127 @@
-/* The receiver's peeling loop, called once per run by craloha.decoder.peel,
- * which checks every input this file trusts and allocates every buffer.
+/* The compiled loops of a run, each called once per run: craloha_place by
+ * craloha.placement.place_replicas, and craloha_check then craloha_peel by
+ * craloha.decoder.peel. The Python callers check every input these loops
+ * trust, except what craloha_check checks itself, and allocate every buffer.
  *
- * Each slot keeps the number of its undecoded instances and the XOR of their
- * packet ids, so a slot holding one instance names its packet. Packet p
- * resolves at the end of slot t only while t <= last[p]. Slots are visited in
- * order; at slot t the peel is a sequence of ascending scans (passes), the
- * first over the candidates of a cascade the cap cut off at t - 1 and over t
- * itself if it holds one restorable instance when ingested. Every decodable
- * singleton met resolves its packet and cancels its replicas in every slot,
- * future ones included; a slot left with one restorable instance ahead of the
- * scan position joins this scan, one behind it waits for the next. At most
- * i_max passes run per slot; a cascade still pending then resumes at slot
- * t + 1, without the packets whose deadline has passed, and counts as one cap
- * hit.
+ * craloha_place draws from the caller's numpy Generator through numpy's
+ * public bitgen_t interface, with the same calls in the same order as
+ * Generator.integers, so its output and the generator's state afterwards are
+ * those of the numpy column loop it replaces, bit for bit.
+ *
+ * craloha_peel is the receiver. Each slot keeps the number of its undecoded
+ * instances and the XOR of their packet ids, so a slot holding one instance
+ * names its packet. Packet p resolves at the end of slot t only while
+ * t <= last[p]. Slots are visited in order; at slot t the peel is a sequence
+ * of ascending scans (passes), the first over the candidates of a cascade
+ * the cap cut off at t - 1 and over t itself if it holds one restorable
+ * instance when ingested. Every decodable singleton met resolves its packet
+ * and cancels its replicas in every slot, future ones included; a slot left
+ * with one restorable instance ahead of the scan position joins this scan,
+ * one behind it waits for the next. At most i_max passes run per slot; a
+ * cascade still pending then resumes at slot t + 1, without the packets
+ * whose deadline has passed, and counts as one cap hit.
  */
 #include <stdint.h>
 #include <string.h>
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), which a Generator's
+ * bit_generator.ctypes.bit_generator points to. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* A uniform draw from 0 .. r, as numpy's random_bounded_uint64_fill makes it
+ * for Generator.integers: nothing drawn at r = 0; Lemire's multiply-shift
+ * with rejection on 32-bit words below r = 2^32 - 1; a bare 32-bit word at
+ * it; the 128-bit product on 64-bit words above. */
+static uint64_t bounded(bitgen_t *g, uint64_t r)
+{
+    if (r == 0)
+        return 0;
+    if (r < UINT32_MAX) {
+        uint32_t excl = (uint32_t)r + 1;
+        uint64_t m = (uint64_t)g->next_uint32(g->state) * excl;
+        if ((uint32_t)m < excl) {
+            uint32_t threshold = (UINT32_MAX - (uint32_t)r) % excl;
+            while ((uint32_t)m < threshold)
+                m = (uint64_t)g->next_uint32(g->state) * excl;
+        }
+        return m >> 32;
+    }
+    if (r == UINT32_MAX)
+        return g->next_uint32(g->state);
+    __uint128_t m = (__uint128_t)g->next_uint64(g->state) * (r + 1);
+    if ((uint64_t)m < r + 1) {
+        uint64_t threshold = (UINT64_MAX - r) % (r + 1);
+        while ((uint64_t)m < threshold)
+            m = (__uint128_t)g->next_uint64(g->state) * (r + 1);
+    }
+    return m >> 64;
+}
+
+/* Packet p gets degrees[p] (1 .. n_window) replica slots in flat[offsets[p]
+ * .. offsets[p+1]), ascending: start[p] plus offsets from low .. n_window -
+ * 1, where low is 0 (FR: the frame that starts at start[p]) or 1 (SW: offset
+ * 0 is the ready slot start[p] itself, and the other slots draw).
+ *
+ * Floyd's subset sampling (Bentley & Floyd, CACM 30(9), 1987): column i from
+ * low to d - 1 draws t uniform on low .. n_window - d + i and takes n_window -
+ * d + i where t is already in the row. The draws are those of numpy's
+ * Generator.integers(low, n_window - d + i + 1, size) over each degree d in
+ * ascending order, a column at a time over that degree's packets in packet
+ * order. by_degree holds n entries, counts max_degree + 1, zeroed, and draws
+ * one degree's draws. */
+void craloha_place(const int64_t *start, const int64_t *degrees, const int64_t *offsets, int64_t n,
+                   int64_t n_window, int64_t low, bitgen_t *g, int64_t max_degree, int64_t *counts,
+                   int64_t *by_degree, int64_t *draws, int64_t *flat)
+{
+    int64_t next = 0;
+    /* by_degree lists the packets by degree, ascending, each degree's in
+     * packet order; counts[d] ends degree d's run */
+    for (int64_t p = 0; p < n; p++)
+        counts[degrees[p]]++;
+    for (int64_t d = 0; d <= max_degree; d++) {
+        int64_t c = counts[d];
+        counts[d] = next;
+        next += c;
+    }
+    for (int64_t p = 0; p < n; p++)
+        by_degree[counts[degrees[p]]++] = p;
+    /* Degree d's columns low + c, c = 0 .. w - 1, fill draws column by column
+     * over its m packets, like numpy's column loop: Floyd's fix and the
+     * insertion of each column into the sorted ones before it are sweeps over
+     * whole columns, with no branch on the drawn values. */
+    for (int64_t d = 1, begin = 0; d <= max_degree; begin = counts[d++]) {
+        int64_t m = counts[d] - begin, w = d - low;
+        for (int64_t c = 0; c < w && m; c++) {
+            int64_t *col = draws + c * m, top = n_window - d + low + c;
+            for (int64_t k = 0; k < m; k++)
+                col[k] = low + bounded(g, top - low);
+            for (int64_t e = 0; e < c; e++)
+                for (int64_t k = 0; k < m; k++)
+                    col[k] = col[k] == draws[e * m + k] ? top : col[k];
+            for (int64_t e = c; e > 0; e--) {
+                int64_t *x = draws + (e - 1) * m, *y = draws + e * m;
+                for (int64_t k = 0; k < m; k++) {
+                    int64_t lo = x[k] < y[k] ? x[k] : y[k], hi = x[k] < y[k] ? y[k] : x[k];
+                    x[k] = lo;
+                    y[k] = hi;
+                }
+            }
+        }
+        for (int64_t k = 0; k < m; k++) {
+            int64_t p = by_degree[begin + k], *row = flat + offsets[p];
+            if (low)
+                row[0] = start[p];
+            for (int64_t c = 0; c < w; c++)
+                row[low + c] = start[p] + draws[c * m + k];
+        }
+    }
+}
 
 static void sift_down(int64_t *heap, int64_t n, int64_t i)
 {
@@ -49,6 +155,70 @@ static int64_t pop(int64_t *heap, int64_t *n)
         sift_down(heap, *n, 0);
     }
     return top;
+}
+
+/* Whether every check of craloha_check passes, by sweeps with no branch on
+ * the values; top gets the largest replica slot, -1 if none. */
+static int all_pass(const int64_t *flat, int64_t n_flat, const int64_t *offsets, int64_t n, const int64_t *last,
+                    int64_t n_last, int64_t *top)
+{
+    int64_t bad = n < 0 || offsets[0] != 0 || offsets[n] != n_flat || n_last != n, steps = 0, max = -1;
+    for (int64_t p = 0; p < n && !bad; p++)
+        bad |= offsets[p + 1] <= offsets[p];
+    if (bad)
+        return 0; /* flat is indexed through offsets only once they ascend */
+    /* the steps down anywhere in flat, less those across a row start */
+    for (int64_t j = 0; j < n_flat; j++) {
+        steps += j > 0 && flat[j] <= flat[j - 1];
+        max = flat[j] > max ? flat[j] : max;
+    }
+    for (int64_t p = 1; p < n; p++)
+        steps -= flat[offsets[p]] <= flat[offsets[p] - 1];
+    for (int64_t p = 0; p < n; p++)
+        bad |= (flat[offsets[p]] < 0) | (last[p] < flat[offsets[p]]);
+    *top = max;
+    return !bad && !steps;
+}
+
+/* The first check craloha_peel's input fails, in this order: 1 offsets not
+ * from 0 to n_flat, 2 an empty row, 3 a row not strictly ascending, 4 a
+ * negative first slot, 5 n_last != n, 6 last[p] before p's first slot. Each
+ * is checked over all packets before the next, and 0 means all pass. at[0]
+ * gets the packet (for 1, 0 or n - 1 as the start or the end is wrong), at[1]
+ * the flat index of the first slot of a non-ascending pair (3) or the
+ * largest replica slot, -1 if none (0). Only an input that fails runs the
+ * ordered scan below. flat is read only once the offsets are known
+ * monotone, and last only once its length is right. */
+int64_t craloha_check(const int64_t *flat, int64_t n_flat, const int64_t *offsets, int64_t n,
+                      const int64_t *last, int64_t n_last, int64_t *at)
+{
+    int64_t negative = -1, late = -1;
+    if (all_pass(flat, n_flat, offsets, n, last, n_last, at + 1))
+        return 0;
+    if (n < 0 || offsets[0] != 0 || offsets[n] != n_flat) {
+        at[0] = n < 1 || offsets[0] != 0 ? 0 : n - 1;
+        return 1;
+    }
+    for (int64_t p = 0; p < n; p++)
+        if (offsets[p + 1] <= offsets[p]) {
+            at[0] = p;
+            return 2;
+        }
+    for (int64_t p = 0; p < n; p++) {
+        int64_t first = flat[offsets[p]], end = offsets[p + 1];
+        for (int64_t j = offsets[p] + 1; j < end; j++)
+            if (flat[j] <= flat[j - 1]) {
+                at[0] = p;
+                at[1] = j - 1;
+                return 3;
+            }
+        if (negative < 0 && first < 0)
+            negative = p;
+        if (late < 0 && n_last == n && last[p] < first)
+            late = p;
+    }
+    at[0] = negative >= 0 ? negative : late;
+    return negative >= 0 ? 4 : n_last != n ? 5 : late >= 0 ? 6 : 0;
 }
 
 /* Packet p's replica slots are flat[offsets[p] .. offsets[p+1]), strictly

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decoder import _kernel
 from .model import AccessMode, SchemeConfig
 
 
@@ -42,45 +43,50 @@ def place_replicas(
     in the ready slot and the other ``degree - 1`` uniformly without
     replacement in the next ``N_sw - 1`` slots.
 
-    The rows of each degree ``d`` draw together by Floyd's subset sampling
-    (Bentley & Floyd, CACM 30(9), 1987). With ``low`` 0 (FR) or 1 (SW, whose
-    column 0 is offset 0), column ``i`` from ``low`` to ``d - 1`` draws
-    ``t`` uniform on ``[low, N - d + i]`` and takes ``N - d + i`` where
-    ``t`` is already in the row. That is exact with no rejection step, and
-    the draws come from ``rng`` degree by degree in ascending order, a
-    column at a time, so a seed fixes the placement. A degree outside
-    ``1..window_slots`` raises ``ValueError``.
+    The rows draw by Floyd's subset sampling (Bentley & Floyd, CACM 30(9),
+    1987), in one call of the compiled ``craloha_place``. With ``low`` 0
+    (FR) or 1 (SW, whose column 0 is offset 0), column ``i`` from ``low`` to
+    ``d - 1`` of a degree-``d`` row draws ``t`` uniform on ``[low, N - d +
+    i]`` and takes ``N - d + i`` where ``t`` is already in the row. That is
+    exact with no rejection step.
+
+    The draws are numpy's own. The C loop reads ``rng``'s bit generator,
+    under its lock, exactly as ``rng.integers(low, N - d + i + 1,
+    size=count)`` would: for each degree ``d`` in ascending order, column
+    ``i`` by column over that degree's ``count`` packets in packet order.
+    So ``flat``, ``offsets`` and the state ``rng`` is left in are, bit for
+    bit, those of a numpy loop over these calls, and a seed fixes the
+    placement. A degree outside ``1..window_slots``, or ``arrival_slots``
+    and ``degrees`` of different lengths, raise ``ValueError``.
     """
-    fr = scheme.mode is AccessMode.FR
     n_window = scheme.window_slots
-    arrival_slots = np.asarray(arrival_slots, dtype=np.int64)
-    degrees = np.asarray(degrees, dtype=np.int64)
-    bad = np.flatnonzero((degrees < 1) | (degrees > n_window))
-    if len(bad):
-        p = int(bad[0])
+    arrival_slots = np.ascontiguousarray(arrival_slots, dtype=np.int64)
+    degrees = np.ascontiguousarray(degrees, dtype=np.int64)
+    n = len(degrees)
+    if len(arrival_slots) != n:
+        raise ValueError(f"arrival_slots has {len(arrival_slots)} entries for {n} packets")
+    max_degree = int(degrees.max(initial=0))
+    if n and (degrees.min() < 1 or max_degree > n_window):
+        p = int(np.flatnonzero((degrees < 1) | (degrees > n_window))[0])
         raise ValueError(
             f"packet {p} has degree {int(degrees[p])}; {scheme.mode.value} degrees must lie in 1..{n_window}"
         )
-    offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+    offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degrees, out=offsets[1:])
     flat = np.empty(int(offsets[-1]), dtype=np.int64)
     # FR draws every offset from [0, N_f) after the frame start; SW keeps
     # offset 0 (the ready slot) and draws the rest from [1, N_sw).
+    fr = scheme.mode is AccessMode.FR
     low = 0 if fr else 1
     start = tx_frame_start(arrival_slots, n_window) if fr else arrival_slots
-    for d in np.flatnonzero(np.bincount(degrees)).tolist():
-        rows = np.flatnonzero(degrees == d)
-        # picks[i] is column i of every degree-d row; each new column is
-        # moved down to its place, so the columns stay sorted
-        picks = np.zeros((d, len(rows)), dtype=np.int64)
-        for i in range(low, d):
-            t = rng.integers(low, n_window - d + i + 1, size=len(rows))
-            t[(picks[low:i] == t).any(axis=0)] = n_window - d + i
-            picks[i] = t
-            for j in range(i, low, -1):
-                hi = np.maximum(picks[j - 1], picks[j])
-                np.minimum(picks[j - 1], picks[j], out=picks[j - 1])
-                picks[j] = hi
-        picks += start[rows]
-        flat[offsets[rows] + np.arange(d)[:, None]] = picks
+    # by_degree: the packets grouped by degree; draws: room for any one
+    # degree's draws
+    counts, by_degree = np.zeros(max_degree + 1, np.int64), np.empty(n, np.int64)
+    draws = np.empty(len(flat) - n * low, np.int64)
+    bitgen = rng.bit_generator
+    with bitgen.lock:
+        _kernel.craloha_place(
+            start, degrees, offsets, n, n_window, low, bitgen.ctypes.bit_generator, max_degree, counts, by_degree,
+            draws, flat,
+        )
     return flat, offsets

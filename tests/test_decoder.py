@@ -88,6 +88,22 @@ class TestIngest:
         with pytest.raises(ValueError, match=message):
             peel(np.array(flat), np.array(offsets), np.array(last), 10)
 
+    @pytest.mark.parametrize(
+        "flat, offsets, last, message",
+        [
+            ([5, 3, 4], [0, 2, 2, 3], [9, 9, 9], "packet 1 has no replica slots"),
+            ([-1, 2, 5, 3], [0, 2, 4], [9, 9], "packet 1 has replica slots not strictly ascending: 3 after 5"),
+            ([0, 4, -3], [0, 2, 3], [-1], "packet 1 has negative replica slot -3"),
+            ([4, 2, 6], [0, 1, 3], [0, 1], "packet 0 has last slot 0 before its first replica slot 4"),
+        ],
+        ids=["empty-before-unsorted", "unsorted-before-negative", "negative-before-short-last", "late-twice"],
+    )
+    def test_two_faults_name_the_earlier_check(self, flat, offsets, last, message):
+        # each check runs over every packet before the next one does, so an
+        # earlier check's fault at a later packet wins
+        with pytest.raises(ValueError, match=message):
+            peel(np.array(flat), np.array(offsets), np.array(last), 10)
+
     def test_iteration_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="i_max"):
             peel(np.array([0]), np.array([0, 1]), np.array([0]), 1, i_max=0)

@@ -91,6 +91,33 @@ class TestSampleDegree:
         draws = sample_degrees(d, np.random.default_rng(6), 1_000_000)
         assert abs(draws.mean() - 2.9796) < 0.005
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            IRSA8,
+            # a zero-probability entry first and in the middle, and a sum of
+            # 1 - 1e-10, so u can land past the last cumulative value
+            ((1, 0.0), (2, 0.25), (3, 0.0), (4, 0.25), (6, 0.5 - 1e-10)),
+            ((2, 1.0),),
+        ],
+        ids=["irsa8", "zeros-short-sum", "single"],
+    )
+    def test_index_is_searchsorted_clipped(self, entries):
+        # u at 0, at each cumulative value exactly (a tie goes to the next
+        # entry), one ulp either side of it, and at 1 - 1e-17 (which rounds
+        # to 1.0) and the largest double below 1
+        d = DegreeDistribution(entries)
+        cum = d._cum
+        u = np.concatenate([[0.0, 1 - 1e-17, 1 - 2**-53], cum, np.nextafter(cum, 0), np.nextafter(cum, 1)])
+
+        class Stub:
+            def random(self, n):
+                assert n == len(u)
+                return u.copy()
+
+        want = d._degrees[np.clip(np.searchsorted(cum, u, side="right"), 0, len(entries) - 1)]
+        assert np.array_equal(sample_degrees(d, Stub(), len(u)), want)
+
     def test_all_frequencies_within_4sigma(self):
         n = 1_000_000
         for name in ("irsa4", "irsa8"):

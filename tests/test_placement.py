@@ -182,28 +182,57 @@ class TestPlaceReplicas:
     def _rows(flat, offsets):
         return [flat[offsets[p] : offsets[p + 1]].tolist() for p in range(len(offsets) - 1)]
 
+    @staticmethod
+    def _generator(kind, seed):
+        """A numpy Generator over the bit generator ``kind``. "PCG64-pending"
+        has drawn one 32-bit word, so its next 32-bit draw is the buffered
+        other half of a 64-bit output."""
+        if kind == "PCG64-pending":
+            rng = np.random.Generator(np.random.PCG64(seed))
+            rng.integers(0, 10)
+            return rng
+        return np.random.Generator(getattr(np.random, kind)(seed))
+
     @pytest.mark.parametrize(
-        "mode,window,n",
+        "mode,window,n,bitgen",
         [
             # window 30 with degree 8 makes Floyd's fallback common
-            pytest.param("FR", 30, 3_000, id="FR"),
-            pytest.param("SW", 30, 3_000, id="SW"),
+            pytest.param("FR", 30, 3_000, "PCG64", id="FR"),
+            pytest.param("SW", 30, 3_000, "PCG64", id="SW"),
             # a benchmark window
-            pytest.param("SW", 200, 45_000, id="SW-200"),
+            pytest.param("SW", 200, 45_000, "PCG64", id="SW-200"),
             # degree 8 in 25 slots: most degree-8 rows take the fallback
-            pytest.param("FR", 25, 10_000, id="FR-25"),
+            pytest.param("FR", 25, 10_000, "PCG64", id="FR-25"),
+            # numpy's other bit generators; MT19937 makes 32-bit words natively
+            pytest.param("FR", 30, 2_000, "Philox", id="FR-Philox"),
+            pytest.param("SW", 30, 2_000, "SFC64", id="SW-SFC64"),
+            pytest.param("FR", 30, 2_000, "MT19937", id="FR-MT19937"),
+            pytest.param("SW", 30, 2_000, "MT19937", id="SW-MT19937"),
+            pytest.param("SW", 30, 2_000, "PCG64-pending", id="SW-pending-word"),
+            pytest.param("FR", 30, 2_000, "PCG64-pending", id="FR-pending-word"),
+            # degree 8 fills the window: a column whose range is one value
+            # draws nothing
+            pytest.param("FR", 8, 2_000, "PCG64", id="FR-degree-is-window"),
+            pytest.param("SW", 8, 2_000, "PCG64", id="SW-degree-is-window"),
+            # ranges of 2**32 - 1 (a bare 32-bit word) and above (numpy's
+            # 64-bit branch)
+            pytest.param("FR", 2**32, 30, "PCG64", id="FR-2**32"),
+            pytest.param("SW", 2**32 + 1, 30, "PCG64-pending", id="SW-2**32+1-pending-word"),
+            pytest.param("FR", 2**33, 30, "PCG64", id="FR-2**33"),
+            pytest.param("SW", 2**33, 30, "PCG64-pending", id="SW-2**33-pending-word"),
         ],
     )
-    def test_wide_path_matches_loop_reference(self, mode, window, n):
+    def test_wide_path_matches_loop_reference(self, mode, window, n, bitgen):
         scheme = make_scheme(mode, window=window, dist=DegreeDistribution(((1, 0.2), (2, 0.3), (3, 0.2), (8, 0.3))))
         arrivals, degrees = self._inputs(5, n=n, horizon=2 * n // 3)
-        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        rng, ref_rng = self._generator(bitgen, 9), self._generator(bitgen, 9)
         flat, offsets = place_replicas(scheme, arrivals, degrees, rng)
         ref = _floyd_reference(mode == "FR", window, arrivals, degrees, ref_rng)
         assert self._rows(flat, offsets) == ref
         assert np.array_equal(np.diff(offsets), degrees)
-        # the batched columns leave the generator where the reference's calls do
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # the batched columns leave the generator where the reference's calls
+        # do (assert_equal: Philox, SFC64 and MT19937 states hold arrays)
+        np.testing.assert_equal(rng.bit_generator.state, ref_rng.bit_generator.state)
         assert rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
     @pytest.mark.parametrize("mode", ["FR", "SW"])
