@@ -102,14 +102,11 @@ def _parse_lambda(raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError("range form is start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ValueError("range needs step > 0 and stop >= start")
-        vals = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-12:
-                break
+        # a non-finite bound or step would never end the walk below
+        if not (math.isfinite(start + stop + step) and step > 0 and stop >= start):
+            raise ValueError("range needs finite start, stop and step, step > 0 and stop >= start")
+        vals, k = [], 0
+        while (v := start + k * step) <= stop + 1e-12:
             vals.append(round(v, 12))
             k += 1
         return tuple(vals)
@@ -124,8 +121,11 @@ def _parse_dist(raw: str) -> tuple[str, DegreeDistribution]:
         raise ValueError(f"unknown distribution {raw!r} (named: {known}; inline: 'l:p,l:p')")
     entries = []
     for part in raw.split(","):
-        l, p = part.split(":")
-        entries.append((int(l), float(p)))
+        try:
+            l, p = part.split(":")
+            entries.append((int(l), float(p)))
+        except ValueError:
+            raise ValueError(f"bad entry {part!r}: expected degree:probability, as in '2:0.5,3:0.5'") from None
     return raw, DegreeDistribution(tuple(entries))
 
 
@@ -138,7 +138,13 @@ def _checked(parse, ok, rule: str):
     return parser
 
 
-_BOOL = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+def _parse_bool(raw: str) -> bool:
+    spelled = {"on": True, "true": True, "1": True, "off": False, "false": False, "0": False}
+    if (value := spelled.get(raw.lower())) is None:
+        raise ValueError(f"expected on/off, true/false or 1/0, got {raw!r}")
+    return value
+
+
 _REQUIRED = object()
 
 # key -> (parser, default). A config must set the _REQUIRED keys; a None
@@ -159,8 +165,8 @@ _KEYS = {
     "bin_width_ms": (_checked(float, lambda v: 0 < v < math.inf, "bin_width_ms must be > 0 and finite"), 1.0),
     "out": (str, "results"),
     "format": (_checked(str, lambda v: v in ("csv", "json", "both"), "format must be csv, json or both"), "csv"),
-    "hist": (lambda s: _BOOL[s.lower()], False),
-    "timestamp": (lambda s: _BOOL[s.lower()], True),
+    "hist": (_parse_bool, False),
+    "timestamp": (_parse_bool, True),
     "workers": (_checked(int, lambda v: v >= 1, "workers must be >= 1"), 1),
 }
 
@@ -203,7 +209,7 @@ def parse_config(text: str) -> ExperimentSpec:
         parser, _ = _KEYS[key]
         try:
             values[key] = parser(raw)
-        except (ValueError, KeyError, ConfigError) as exc:
+        except (ValueError, ConfigError) as exc:
             errors.append(f"line {lineno}: bad value for {key!r}: {exc}")
     for key, (_, default) in _KEYS.items():
         if key not in seen_lines:

@@ -8,10 +8,10 @@ instances stay in their slots as uncancellable interference.
 
 One heap-ordered count/XOR slot loop decodes a whole run: each slot keeps
 its number of undecoded instances and the XOR of their packet ids, so a
-singleton slot names its packet. It lives in ``peel.c`` beside the input
-check and the replica placement of ``craloha.placement``. That one source is
-compiled on first import with sysconfig's C compiler into ``__pycache__``
-and loaded once with ``ctypes``.
+singleton slot names its packet; ``peel`` checks its input in numpy first.
+The loop lives in ``peel.c`` beside the replica placement of
+``craloha.placement``, compiled on first import with sysconfig's C compiler
+into ``__pycache__`` and loaded once with ``ctypes``.
 """
 
 from __future__ import annotations
@@ -57,8 +57,6 @@ def _load_kernel():
     flags = np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS,WRITEABLE")
     kernel.craloha_place.argtypes = [ints, ints, ints, i64, i64, i64, ctypes.c_void_p, i64, out, out, out, out]
     kernel.craloha_place.restype = None
-    kernel.craloha_check.argtypes = [ints, i64, ints, i64, ints, i64, out]
-    kernel.craloha_check.restype = i64
     kernel.craloha_peel.argtypes = [ints, ints, ints, i64, i64, i64, i64, out, out, out, out, out, flags]
     kernel.craloha_peel.restype = i64
     return kernel
@@ -91,31 +89,36 @@ def peel(
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     flat, offsets, last = (np.ascontiguousarray(a, np.int64) for a in (replica_flat, replica_offsets, last_slots))
+    _check(flat, offsets, last)
     n = len(last)
-    at = np.empty(2, np.int64)
-    if fault := _kernel.craloha_check(flat, len(flat), offsets, len(offsets) - 1, last, n, at):
-        raise ValueError(_fault_message(fault, int(at[0]), int(at[1]), flat, offsets, last))
     # per-slot buffers end at the last replica slot streamed: no later one is touched
-    size = max(0, min(n_slots, int(at[1]) + 1))
+    size = max(0, min(n_slots, int(flat.max(initial=-1)) + 1))
     count, xor, queue = np.zeros(size, np.int64), np.zeros(size, np.int64), np.empty(size, np.int64)
     decode, order, clean = np.full(n, -1, np.int64), np.empty(n, np.int64), np.zeros(n, bool)
     cap_hits = _kernel.craloha_peel(flat, offsets, last, n, n_slots, i_max, size, count, xor, queue, decode, order, clean)
     return PeelOutcome(decode, order[: np.count_nonzero(decode >= 0)], clean, cap_hits)
 
 
-def _fault_message(fault, p, j, flat, offsets, last) -> str:
-    """The ``ValueError`` text for ``craloha_check``'s fault number ``fault``
-    at packet ``p`` (``j``: the flat index of a non-ascending pair's first
-    slot): it names the first packet whose row the loop would misread. A
-    repeated slot would cancel itself in the slot's XOR."""
-    if fault == 1:
-        return f"packet {p}: replica_offsets must run from 0 to len(replica_flat) = {len(flat)}"
-    if fault == 2:
-        return f"packet {p} has no replica slots"
-    if fault == 3:
-        return f"packet {p} has replica slots not strictly ascending: {flat[j + 1]} after {flat[j]}"
-    if fault == 4:
-        return f"packet {p} has negative replica slot {flat[offsets[p]]}"
-    if fault == 5:
-        return f"last_slots has {len(last)} entries for {len(offsets) - 1} packets"
-    return f"packet {p} has last slot {last[p]} before its first replica slot {flat[offsets[p]]}"
+def _check(flat, offsets, last) -> None:
+    """Raise ValueError naming the first packet whose row the loop would
+    misread. A repeated slot would cancel itself in the slot's XOR."""
+    n = len(offsets) - 1
+    if n < 0 or offsets[0] != 0 or offsets[-1] != len(flat):
+        p = 0 if n < 1 or offsets[0] != 0 else n - 1
+        raise ValueError(f"packet {p}: replica_offsets must run from 0 to len(replica_flat) = {len(flat)}")
+    if len(bad := np.flatnonzero(offsets[1:] <= offsets[:-1])):
+        raise ValueError(f"packet {bad[0]} has no replica slots")
+    step = flat[1:] <= flat[:-1]
+    step[offsets[1:-1] - 1] = False  # across a row boundary
+    if len(bad := np.flatnonzero(step)):
+        j = bad[0]
+        p = np.searchsorted(offsets, j, side="right") - 1
+        raise ValueError(f"packet {p} has replica slots not strictly ascending: {flat[j + 1]} after {flat[j]}")
+    first = flat[offsets[:-1]]
+    if len(bad := np.flatnonzero(first < 0)):
+        raise ValueError(f"packet {bad[0]} has negative replica slot {first[bad[0]]}")
+    if len(last) != n:
+        raise ValueError(f"last_slots has {len(last)} entries for {n} packets")
+    if len(bad := np.flatnonzero(last < first)):
+        p = bad[0]
+        raise ValueError(f"packet {p} has last slot {last[p]} before its first replica slot {first[p]}")

@@ -1,7 +1,7 @@
 /* The compiled loops of a run, each called once per run: craloha_place by
- * craloha.placement.place_replicas, and craloha_check then craloha_peel by
- * craloha.decoder.peel. The Python callers check every input these loops
- * trust, except what craloha_check checks itself, and allocate every buffer.
+ * craloha.placement.place_replicas, and craloha_peel by craloha.decoder.peel.
+ * The Python callers check every input these loops trust and allocate every
+ * buffer.
  *
  * craloha_place draws from the caller's numpy Generator through numpy's
  * public bitgen_t interface, with the same calls in the same order as
@@ -155,70 +155,6 @@ static int64_t pop(int64_t *heap, int64_t *n)
         sift_down(heap, *n, 0);
     }
     return top;
-}
-
-/* Whether every check of craloha_check passes, by sweeps with no branch on
- * the values; top gets the largest replica slot, -1 if none. */
-static int all_pass(const int64_t *flat, int64_t n_flat, const int64_t *offsets, int64_t n, const int64_t *last,
-                    int64_t n_last, int64_t *top)
-{
-    int64_t bad = n < 0 || offsets[0] != 0 || offsets[n] != n_flat || n_last != n, steps = 0, max = -1;
-    for (int64_t p = 0; p < n && !bad; p++)
-        bad |= offsets[p + 1] <= offsets[p];
-    if (bad)
-        return 0; /* flat is indexed through offsets only once they ascend */
-    /* the steps down anywhere in flat, less those across a row start */
-    for (int64_t j = 0; j < n_flat; j++) {
-        steps += j > 0 && flat[j] <= flat[j - 1];
-        max = flat[j] > max ? flat[j] : max;
-    }
-    for (int64_t p = 1; p < n; p++)
-        steps -= flat[offsets[p]] <= flat[offsets[p] - 1];
-    for (int64_t p = 0; p < n; p++)
-        bad |= (flat[offsets[p]] < 0) | (last[p] < flat[offsets[p]]);
-    *top = max;
-    return !bad && !steps;
-}
-
-/* The first check craloha_peel's input fails, in this order: 1 offsets not
- * from 0 to n_flat, 2 an empty row, 3 a row not strictly ascending, 4 a
- * negative first slot, 5 n_last != n, 6 last[p] before p's first slot. Each
- * is checked over all packets before the next, and 0 means all pass. at[0]
- * gets the packet (for 1, 0 or n - 1 as the start or the end is wrong), at[1]
- * the flat index of the first slot of a non-ascending pair (3) or the
- * largest replica slot, -1 if none (0). Only an input that fails runs the
- * ordered scan below. flat is read only once the offsets are known
- * monotone, and last only once its length is right. */
-int64_t craloha_check(const int64_t *flat, int64_t n_flat, const int64_t *offsets, int64_t n,
-                      const int64_t *last, int64_t n_last, int64_t *at)
-{
-    int64_t negative = -1, late = -1;
-    if (all_pass(flat, n_flat, offsets, n, last, n_last, at + 1))
-        return 0;
-    if (n < 0 || offsets[0] != 0 || offsets[n] != n_flat) {
-        at[0] = n < 1 || offsets[0] != 0 ? 0 : n - 1;
-        return 1;
-    }
-    for (int64_t p = 0; p < n; p++)
-        if (offsets[p + 1] <= offsets[p]) {
-            at[0] = p;
-            return 2;
-        }
-    for (int64_t p = 0; p < n; p++) {
-        int64_t first = flat[offsets[p]], end = offsets[p + 1];
-        for (int64_t j = offsets[p] + 1; j < end; j++)
-            if (flat[j] <= flat[j - 1]) {
-                at[0] = p;
-                at[1] = j - 1;
-                return 3;
-            }
-        if (negative < 0 && first < 0)
-            negative = p;
-        if (late < 0 && n_last == n && last[p] < first)
-            late = p;
-    }
-    at[0] = negative >= 0 ? negative : late;
-    return negative >= 0 ? 4 : n_last != n ? 5 : late >= 0 ? 6 : 0;
 }
 
 /* Packet p's replica slots are flat[offsets[p] .. offsets[p+1]), strictly

@@ -80,6 +80,13 @@ class TestParseConfig:
         assert lambdas("0.1,0.2,0.3") == (0.1, 0.2, 0.3)
         assert lambdas("0.1:0.4:0.1") == (0.1, 0.2, 0.3, 0.4)
 
+    @pytest.mark.parametrize("raw", ["0.1:inf:0.1", "nan:1:0.1", "-inf:1:0.1", "0.1:1:nan"])
+    def test_non_finite_range_rejected(self, raw):
+        # each of these once walked without end, growing the list of values
+        text = f"mode=SW\nwindow=10\nn_rx=20\ntotal_slots=100\nwarmup=10\nlambda={raw}\n"
+        with pytest.raises(ConfigError, match="line 6: bad value for 'lambda': range needs finite start, stop"):
+            parse_config(text)
+
     def test_inline_distribution(self):
         spec = parse_config(
             "mode=SW\nwindow=10\nn_rx=20\nlambda=0.1\ntotal_slots=100\nwarmup=10\ndist=2:0.5102,4:0.4898\n"
@@ -186,6 +193,23 @@ class TestFailFast:
             "line 7: bad value for 'replications': replications must be >= 1, got 0",
             "line 8: bad value for 'format': format must be csv, json or both, got 'xml'",
         ]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("hist=maybe", "line 7: bad value for 'hist': expected on/off, true/false or 1/0, got 'maybe'"),
+            ("timestamp=yes", "line 7: bad value for 'timestamp': expected on/off, true/false or 1/0, got 'yes'"),
+            (
+                "dist=2:0.5,3",
+                "line 7: bad value for 'dist': bad entry '3': expected degree:probability, as in '2:0.5,3:0.5'",
+            ),
+        ],
+        ids=["hist", "timestamp", "dist-entry"],
+    )
+    def test_bad_value_names_the_accepted_form(self, line, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(self.BASE + f"lambda=0.1\n{line}\n")
+        assert str(info.value) == message
 
     def test_bad_required_value_is_not_also_missing(self):
         with pytest.raises(ConfigError) as info:

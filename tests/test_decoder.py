@@ -1,8 +1,10 @@
 import heapq
 import os
+import shlex
 import shutil
 import subprocess
 import sys
+import sysconfig
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -18,6 +20,71 @@ from craloha.model import sample_degrees
 from craloha.placement import place_replicas
 
 from conftest import feed, make_scheme, make_traffic, oracle
+
+
+@st.composite
+def _csr_with_faults(draw):
+    """A small valid ``(flat, offsets, last)`` triple with 0-3 faults injected:
+    bad offset ends, an empty row, a non-ascending row, a negative first
+    slot, a short ``last`` and a late ``last``."""
+    row = st.lists(st.integers(0, 30), min_size=1, max_size=4, unique=True).map(sorted)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    last = [row[0] + draw(st.integers(0, 5)) for row in rows]
+    faults = draw(st.lists(st.sampled_from(["ends", "empty", "unsorted", "negative", "short", "late"]), max_size=3))
+    # row faults first, in the drawn order; the two that cut across rows after
+    for fault in faults:
+        if fault == "empty":
+            p = draw(st.integers(0, len(rows)))
+            rows.insert(p, [])
+            last.insert(p, draw(st.integers(0, 30)))
+        elif fault == "unsorted" and (long := [p for p, row in enumerate(rows) if len(row) > 1]):
+            row = rows[draw(st.sampled_from(long))]
+            j = draw(st.integers(0, len(row) - 2))
+            row[j + 1] = row[j] - draw(st.integers(0, 2))  # repeated or descending
+        elif fault in ("negative", "late") and (full := [p for p, row in enumerate(rows) if row]):
+            p = draw(st.sampled_from(full))
+            if fault == "negative":
+                rows[p][0] = -draw(st.integers(1, 3))
+            else:
+                last[p] = rows[p][0] - draw(st.integers(1, 3))
+    if "short" in faults:
+        last = last[: -draw(st.integers(1, len(last)))]
+    flat = [s for row in rows for s in row]
+    offsets = [0]
+    for row in rows:
+        offsets.append(offsets[-1] + len(row))
+    if "ends" in faults:
+        if draw(st.booleans()):
+            offsets[0] = draw(st.integers(1, 2))
+        else:
+            offsets[-1] += draw(st.sampled_from([-1, 1]))
+    return flat, offsets, last
+
+
+def _first_fault(flat, offsets, last):
+    """The message for the first of ``peel``'s six input rules the triple
+    breaks, each rule over every packet before the next; None if none."""
+    n = len(offsets) - 1
+    if offsets[0] != 0 or offsets[n] != len(flat):
+        p = 0 if n < 1 or offsets[0] != 0 else n - 1
+        return f"packet {p}: replica_offsets must run from 0 to len(replica_flat) = {len(flat)}"
+    for p in range(n):
+        if offsets[p + 1] <= offsets[p]:
+            return f"packet {p} has no replica slots"
+    for p in range(n):
+        row = flat[offsets[p] : offsets[p + 1]]
+        for a, b in zip(row, row[1:]):
+            if b <= a:
+                return f"packet {p} has replica slots not strictly ascending: {b} after {a}"
+    for p in range(n):
+        if flat[offsets[p]] < 0:
+            return f"packet {p} has negative replica slot {flat[offsets[p]]}"
+    if len(last) != n:
+        return f"last_slots has {len(last)} entries for {n} packets"
+    for p in range(n):
+        if last[p] < flat[offsets[p]]:
+            return f"packet {p} has last slot {last[p]} before its first replica slot {flat[offsets[p]]}"
+    return None
 
 
 class TestIngest:
@@ -103,6 +170,19 @@ class TestIngest:
         # earlier check's fault at a later packet wins
         with pytest.raises(ValueError, match=message):
             peel(np.array(flat), np.array(offsets), np.array(last), 10)
+
+    @given(csr=_csr_with_faults())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_check_order_matches_per_packet_reference(self, csr):
+        flat, offsets, last = csr
+        message = _first_fault(flat, offsets, last)
+        args = (np.array(flat, np.int64), np.array(offsets, np.int64), np.array(last, np.int64), 40)
+        if message is None:
+            assert len(peel(*args).decode_slots) == len(last)
+        else:
+            with pytest.raises(ValueError) as info:
+                peel(*args)
+            assert str(info.value) == message
 
     def test_iteration_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="i_max"):
@@ -433,6 +513,14 @@ class TestLoader:
             _, err = proc.communicate(timeout=60)
             assert proc.returncode == 0, err
         assert len(list((pkg / "__pycache__").glob("peel.*"))) == 1
+
+    def test_source_builds_without_warnings(self, tmp_path):
+        # the import builds with the same compiler but shows no warning
+        cc = shlex.split(sysconfig.get_config_var("CC") or "")
+        src = Path(craloha.decoder.__file__).with_name("peel.c")
+        cmd = [*cc, "-O2", "-shared", "-fPIC", "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "peel.so"), str(src)]
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_edited_source_never_loads_a_stale_library(self, tmp_path):
         pkg = _fresh_package(tmp_path)
