@@ -96,6 +96,9 @@ class ExperimentSpec:
     workers: int
 
 
+_MAX_LAMBDAS = 10_000
+
+
 def _parse_lambda(raw: str) -> tuple[float, ...]:
     if ":" in raw:
         parts = raw.split(":")
@@ -107,6 +110,8 @@ def _parse_lambda(raw: str) -> tuple[float, ...]:
             raise ValueError("range needs finite start, stop and step, step > 0 and stop >= start")
         vals, k = [], 0
         while (v := start + k * step) <= stop + 1e-12:
+            if k == _MAX_LAMBDAS:  # one line must not ask for a near-endless sweep
+                raise ValueError(f"range gives more than {_MAX_LAMBDAS} values")
             vals.append(round(v, 12))
             k += 1
         return tuple(vals)

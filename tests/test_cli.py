@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -86,6 +87,17 @@ class TestParseConfig:
         text = f"mode=SW\nwindow=10\nn_rx=20\ntotal_slots=100\nwarmup=10\nlambda={raw}\n"
         with pytest.raises(ConfigError, match="line 6: bad value for 'lambda': range needs finite start, stop"):
             parse_config(text)
+
+    def test_range_length_capped(self):
+        base = "mode=SW\nwindow=10\nn_rx=20\ntotal_slots=100\nwarmup=10\nlambda={}\n"
+        t0 = time.perf_counter()
+        # 10^18 values: the uncapped walk ran for seconds without returning
+        with pytest.raises(ConfigError, match="line 6: bad value for 'lambda': range gives more than 10000 values"):
+            parse_config(base.format("0:1e9:1e-9"))
+        assert time.perf_counter() - t0 < 0.5
+        assert len(parse_config(base.format("0:9999:1")).traffic) == 10_000
+        with pytest.raises(ConfigError, match="line 6: bad value for 'lambda': range gives more than 10000 values"):
+            parse_config(base.format("0:10000:1"))
 
     def test_inline_distribution(self):
         spec = parse_config(
